@@ -424,10 +424,14 @@ let micro () =
         Test.make ~name:"filter-64-shared-reads(miss)" (txn_shared_reads cfg_filter);
       ]
   in
+  (* No per-sample GC stabilisation: a major GC before every sample, over
+     a heap this size, inflated each figure 3-45x (by a different factor
+     per config); the barriers allocate nothing, so there is no garbage
+     for it to settle. *)
   let cfg =
     Benchmark.cfg ~limit:2000
       ~quota:(Time.second (if !quick then 0.1 else 0.4))
-      ~kde:None ()
+      ~kde:None ~stabilize:false ()
   in
   let raw = Benchmark.all cfg [ Instance.monotonic_clock ] tests in
   let ols =

@@ -127,11 +127,6 @@ let with_orec_map m t = { t with orec_map = m }
 let with_fault fault t = { t with fault }
 let has_fault t kind = t.fault = Some kind
 
-let with_skip_validation ?(on = true) t =
-  if on then { t with fault = Some Fault.Skip_validation }
-  else if t.fault = Some Fault.Skip_validation then { t with fault = None }
-  else t
-
 let audit = { default with audit = true }
 
 let name t =

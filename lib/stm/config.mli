@@ -219,10 +219,6 @@ val with_fault : Fault.kind option -> t -> t
 (** [has_fault t k] — is fault [k] the one injected in [t]? *)
 val has_fault : t -> Fault.kind -> bool
 
-(** [with_skip_validation t] injects the validation-skipping fault —
-    kept as the checker's historical canary spelling of
-    [with_fault (Some Fault.Skip_validation)]. *)
-val with_skip_validation : ?on:bool -> t -> t
 val audit : t
 (** Baseline + audit counting (Figure 8 runs). *)
 

@@ -10,15 +10,6 @@ module Prng = Captured_util.Prng
 exception Retry_conflict
 exception User_abort
 
-(* Debug hook: when set, every lock-wait records the contended address. *)
-let debug_lock_trace : (int, int) Hashtbl.t option ref = ref None
-
-let note_lock_wait addr =
-  match !debug_lock_trace with
-  | None -> ()
-  | Some h ->
-      Hashtbl.replace h addr (1 + Option.value ~default:0 (Hashtbl.find_opt h addr))
-
 (* ------------------------------------------------------------------ *)
 (* Event tracing (schedule-exploration checker hook)                   *)
 
@@ -57,6 +48,14 @@ let set_tracer f = tracer := f
    match so disabled tracing allocates nothing. *)
 let emit tid ev = match !tracer with None -> () | Some f -> f tid ev
 
+(* Which capture analysis a barrier of one access kind runs, resolved
+   from [Config] once per thread.  Heap checks need no flag of their own:
+   a scope carries a capture log exactly when they are on. *)
+type plan = {
+  static_sites : bool; (* Compiler: trust the sites' static verdicts *)
+  runtime : bool; (* runtime analysis, on for this access kind *)
+}
+
 type thread = {
   tid : int;
   platform : Platform.t;
@@ -65,6 +64,12 @@ type thread = {
   arena : Alloc.t;
   orecs : Orec.t;
   config : Config.t;
+  (* [config] resolved for the barriers (DESIGN.md §10).  [debug] is set
+     by any fault, audit, fences, fuel or pessimistic reads; with it
+     clear, the barriers test none of them. *)
+  read_plan : plan;
+  write_plan : plan;
+  debug : bool;
   stats : Stats.t;
   private_log : Private_log.t;
   prng : Prng.t;
@@ -154,6 +159,17 @@ and scope = {
 (* ------------------------------------------------------------------ *)
 (* Thread construction                                                 *)
 
+let plan_of (cfg : Config.t) ~is_write =
+  let sc = cfg.scope in
+  let on_kind = if is_write then sc.on_writes else sc.on_reads in
+  let static_sites, runtime =
+    match cfg.analysis with
+    | Config.Compiler -> (true, false)
+    | Config.Runtime _ -> (false, on_kind)
+    | Config.Baseline -> (false, false)
+  in
+  { static_sites; runtime }
+
 let create_thread ~tid ~platform ~memory ~stack ~arena ~orecs ~config
     ?cm_shared ?wal ?reclaim_shared ~seed () =
   let n = Orec.count orecs in
@@ -172,6 +188,11 @@ let create_thread ~tid ~platform ~memory ~stack ~arena ~orecs ~config
     arena;
     orecs;
     config;
+    read_plan = plan_of config ~is_write:false;
+    write_plan = plan_of config ~is_write:true;
+    debug =
+      config.fault <> None || config.audit || config.fences || config.fuel > 0
+      || config.pessimistic_reads;
     stats;
     private_log = Private_log.create ();
     prng = Prng.create seed;
@@ -204,13 +225,13 @@ let fence th = ignore (Atomic.fetch_and_add th.fence_dummy 1 : int)
 
 (* Barrier memory accesses: [sandbox_bounds] validates every address
    before the barrier body runs, so the unchecked accessors are in
-   contract; audit mode keeps the checked ones as a cross-check. *)
+   contract; debug threads keep the checked ones as a cross-check. *)
 let mem_get th addr =
-  if th.config.Config.audit then Memory.get th.memory addr
+  if th.debug then Memory.get th.memory addr
   else Memory.unsafe_get th.memory addr
 
 let mem_set th addr v =
-  if th.config.Config.audit then Memory.set th.memory addr v
+  if th.debug then Memory.set th.memory addr v
   else Memory.unsafe_set th.memory addr v
 
 (* ------------------------------------------------------------------ *)
@@ -293,27 +314,21 @@ let push_dfree scope addr =
 (* ------------------------------------------------------------------ *)
 (* Transaction object (one per thread, reused across transactions)     *)
 
+(* A scope's capture log: present exactly when runtime heap checks are
+   on.  Nested scopes answer capture questions relative to themselves
+   (paper §2.2.1), so each gets a fresh one. *)
+let new_capture_log (cfg : Config.t) =
+  match cfg.analysis with
+  | Config.Runtime backend when cfg.scope.check_heap ->
+      Some
+        (Alloc_log.create ~array_capacity:cfg.array_capacity
+           ~filter_buckets:cfg.filter_buckets ~fastpath:cfg.fastpath backend)
+  | Config.Runtime _ | Config.Baseline | Config.Compiler -> None
+
+let new_audit_log (cfg : Config.t) =
+  if cfg.audit then Some (Alloc_log.create Alloc_log.Tree) else None
+
 let make_tx th =
-  let cfg = th.config in
-  let runtime_heap =
-    match cfg.analysis with
-    | Config.Runtime _ -> cfg.scope.Config.check_heap
-    | Config.Baseline | Config.Compiler -> false
-  in
-  let top_capture_log =
-    if runtime_heap then
-      match cfg.analysis with
-      | Config.Runtime backend ->
-          Some
-            (Alloc_log.create ~array_capacity:cfg.array_capacity
-               ~filter_buckets:cfg.filter_buckets ~fastpath:cfg.fastpath
-               backend)
-      | Config.Baseline | Config.Compiler -> None
-    else None
-  in
-  let top_audit_log =
-    if cfg.audit then Some (Alloc_log.create Alloc_log.Tree) else None
-  in
   {
     thread = th;
     read_orecs = Array.make 64 0;
@@ -326,8 +341,8 @@ let make_tx th =
     n_acq = 0;
     waw = Waw.create ();
     redo = Redo.create ();
-    top_capture_log;
-    top_audit_log;
+    top_capture_log = new_capture_log th.config;
+    top_audit_log = new_audit_log th.config;
     scopes = [];
     live = false;
     attempts = 0;
@@ -435,8 +450,9 @@ let validate tx =
   th.stats.validations <- th.stats.validations + 1;
   charge_validation th (Costs.validate_per_read * tx.n_reads);
   (* Injected fault (checker self-test): report success without looking. *)
-  (Config.has_fault th.config Fault.Skip_validation
-  && begin
+  (th.debug
+   && Config.has_fault th.config Fault.Skip_validation
+   && begin
        th.stats.faults_injected <- th.stats.faults_injected + 1;
        true
      end)
@@ -468,29 +484,28 @@ let dclock_extend tx ts =
     th.peer_epoch.(Orec.tid_of_stamp ts) <- Orec.epoch_of_stamp ts
   else raise Retry_conflict
 
+(* The zombie guard: abort unless the read set still holds. *)
+let revalidate tx =
+  let th = tx.thread in
+  if th.config.Config.tvalidate && not th.config.Config.dclock then begin
+    (* O(1) check: an unmoved clock means nothing committed since the
+       snapshot, so the read set cannot have been invalidated. *)
+    charge_validation th Costs.tvalidate_check;
+    if Orec.clock th.orecs > tx.start_ts then extend_snapshot tx
+    else th.stats.validations_skipped <- th.stats.validations_skipped + 1
+  end
+  else if
+    (* Decentralized mode has no global clock to consult: a full
+       validation, part of the GV5-style price paid for removing the
+       commit-path clock CAS. *)
+    not (validate tx)
+  then raise Retry_conflict
+
 let maybe_validate tx =
   tx.ops_since_validate <- tx.ops_since_validate + 1;
   if tx.ops_since_validate >= tx.thread.config.validate_every then begin
     tx.ops_since_validate <- 0;
-    let th = tx.thread in
-    if th.config.Config.tvalidate then begin
-      if th.config.Config.dclock then begin
-        (* No global clock to consult in decentralized mode: the periodic
-           zombie guard is a full validation — part of the GV5-style
-           price paid for removing the commit-path clock CAS. *)
-        if not (validate tx) then raise Retry_conflict
-      end
-      else begin
-        (* O(1) zombie guard: an unmoved clock means nothing committed
-           since the snapshot, so the read set cannot have been
-           invalidated. *)
-        charge_validation th Costs.tvalidate_check;
-        if Orec.clock th.orecs > tx.start_ts then extend_snapshot tx
-        else
-          th.stats.validations_skipped <- th.stats.validations_skipped + 1
-      end
-    end
-    else if not (validate tx) then raise Retry_conflict
+    revalidate tx
   end
 
 (* Validation fuel: a hard bound on un-revalidated execution.  The
@@ -498,8 +513,8 @@ let maybe_validate tx =
    barrier slow paths; owned reads, capture-elided accesses and
    [tx_work] never reach it, so a zombie spinning in those is otherwise
    immortal.  Every transactional operation burns one unit; an empty
-   tank forces a revalidation — the same check [maybe_validate] would do
-   — and refills. *)
+   tank forces the same revalidation [maybe_validate] does, and
+   refills. *)
 let burn_fuel tx =
   if tx.fuel > 0 then begin
     tx.fuel <- tx.fuel - 1;
@@ -507,18 +522,7 @@ let burn_fuel tx =
       let th = tx.thread in
       tx.fuel <- th.config.Config.fuel;
       th.stats.fuel_exhaustions <- th.stats.fuel_exhaustions + 1;
-      if th.config.Config.tvalidate then begin
-        if th.config.Config.dclock then begin
-          if not (validate tx) then raise Retry_conflict
-        end
-        else begin
-          charge_validation th Costs.tvalidate_check;
-          if Orec.clock th.orecs > tx.start_ts then extend_snapshot tx
-          else
-            th.stats.validations_skipped <- th.stats.validations_skipped + 1
-        end
-      end
-      else if not (validate tx) then raise Retry_conflict
+      revalidate tx
     end
   end
 
@@ -603,39 +607,32 @@ let private_check th addr size cost =
     else elision ~cls:keep_code ~cost:c
   else elision ~cls:keep_code ~cost
 
-let try_elide tx addr size ~site ~is_write =
+let try_elide tx plan addr size ~site =
   let th = tx.thread in
   let cfg = th.config in
-  match cfg.analysis with
-  | Config.Compiler ->
-      if Site.is_captured_static site then
-        elision ~cls:elide_static_code ~cost:0
-      else private_check th addr size 0
-  | Config.Baseline -> private_check th addr size 0
-  | Config.Runtime _ ->
-      let sc = cfg.scope in
-      let applies =
-        (if is_write then sc.on_writes else sc.on_reads)
-        && not (cfg.static_filter && Site.is_shared_static site)
-      in
-      if not applies then private_check th addr size 0
-      else begin
-        let scope = innermost tx in
-        if
-          sc.check_stack
-          && Tstack.in_live_range th.stack ~from_sp:scope.start_sp addr size
-        then elision ~cls:elide_stack_code ~cost:Costs.stack_check
-        else begin
-          let cost = if sc.check_stack then Costs.stack_check else 0 in
-          match scope.capture_log with
-          | Some log when sc.check_heap ->
-              let r = heap_capture_check th log ~lo:addr ~hi:(addr + size) in
-              let cost = cost + (r lsr 1) in
-              if r land 1 = 1 then elision ~cls:elide_heap_code ~cost
-              else private_check th addr size cost
-          | Some _ | None -> private_check th addr size cost
-        end
-      end
+  if plan.static_sites && Site.is_captured_static site then
+    elision ~cls:elide_static_code ~cost:0
+  else if
+    plan.runtime
+    && not (cfg.static_filter && Site.is_shared_static site)
+  then begin
+    let scope = innermost tx in
+    if
+      cfg.scope.check_stack
+      && Tstack.in_live_range th.stack ~from_sp:scope.start_sp addr size
+    then elision ~cls:elide_stack_code ~cost:Costs.stack_check
+    else begin
+      let cost = if cfg.scope.check_stack then Costs.stack_check else 0 in
+      match scope.capture_log with
+      | Some log ->
+          let r = heap_capture_check th log ~lo:addr ~hi:(addr + size) in
+          let cost = cost + (r lsr 1) in
+          if r land 1 = 1 then elision ~cls:elide_heap_code ~cost
+          else private_check th addr size cost
+      | None -> private_check th addr size cost
+    end
+  end
+  else private_check th addr size 0
 
 (* Audit-mode classification for Figure 8: a precise tree + the stack check
    decide captured-ness; [manual] sites are the paper's "required"
@@ -680,13 +677,20 @@ let note_shard_conflict th oi w =
   if owner <> th.tid && owner < Orec.max_tids then
     Stats.note_pair th.stats ~shard:s ~tid:th.tid ~peer:owner
 
+(* Debug-only steps between a read's data load and its confirming orec
+   load: the SC fence that pins the two loads in order even under a
+   hypothetically weaker model (Config.fences), then the stale-read
+   fault's draw, which only a fresh read makes. *)
+let debug_after_load th oi =
+  if th.config.Config.fences then fence th;
+  th.read_seen_epoch.(oi) <> th.epoch && fault_fires th Fault.Stale_read
+
 let rec full_read_loop tx oi addr spins =
   let th = tx.thread in
   let w1 = Orec.get th.orecs oi in
   if Orec.is_locked w1 then begin
     th.stats.lock_waits <- th.stats.lock_waits + 1;
     if spins = 0 then note_shard_conflict th oi w1;
-    note_lock_wait addr;
     if spins >= Cm.spin_patience th.cm ~default:th.config.Config.spin_limit
     then begin
       th.stats.spin_aborts <- th.stats.spin_aborts + 1;
@@ -700,34 +704,13 @@ let rec full_read_loop tx oi addr spins =
   end
   else begin
     let v = mem_get th addr in
-    (* Debug mode: pin the data load before the confirming orec load even
-       under a hypothetically weaker model (see Config.fences). *)
-    if th.config.Config.fences then fence th;
-    if
-      th.read_seen_epoch.(oi) <> th.epoch
-      && fault_fires th Fault.Stale_read
-    then begin
-      (* Injected TOCTOU: open a scheduling window after the value load,
-         then log whatever version the orec holds on the other side —
-         skipping the w1=w2 sandwich and the +tv snapshot check.  If a
-         commit lands in the window, [v] is stale yet the logged word is
-         current, so commit-time validation passes a broken snapshot. *)
-      th.platform.consume 1;
+    if th.debug && debug_after_load th oi then stale_read tx oi addr spins v
+    else
       let w2 = Orec.get th.orecs oi in
-      if Orec.is_locked w2 then full_read_loop tx oi addr (spins + 1)
-      else begin
-        th.read_seen_epoch.(oi) <- th.epoch;
-        th.read_seen_word.(oi) <- w2;
-        push_read tx oi w2;
-        v
-      end
-    end
-    else begin
-    let w2 = Orec.get th.orecs oi in
-    if w1 = w2 then begin
-      (* Dedup: log each orec once; observing a *different* version than
-         first logged is already a conflict. *)
-      if th.read_seen_epoch.(oi) = th.epoch then begin
+      if w1 <> w2 then full_read_loop tx oi addr (spins + 1)
+      else if th.read_seen_epoch.(oi) = th.epoch then begin
+        (* Dedup: log each orec once; observing a *different* version
+           than first logged is already a conflict. *)
         if th.read_seen_word.(oi) <> w1 then raise Retry_conflict;
         v
       end
@@ -759,7 +742,7 @@ let rec full_read_loop tx oi addr spins =
                   && Orec.epoch_of_stamp ts
                      > th.peer_epoch.(Orec.tid_of_stamp ts)
                 else Orec.version_of w1 > tx.start_ts)
-               && not (Config.has_fault cfg Fault.Skip_validation)
+               && not (th.debug && Config.has_fault cfg Fault.Skip_validation)
              end
         in
         if extend then begin
@@ -774,9 +757,23 @@ let rec full_read_loop tx oi addr spins =
           v
         end
       end
-    end
-    else full_read_loop tx oi addr (spins + 1)
-    end
+  end
+
+(* Injected TOCTOU: open a scheduling window after the value load, then
+   log whatever version the orec holds on the other side — skipping the
+   w1=w2 sandwich and the +tv snapshot check.  If a commit lands in the
+   window, [v] is stale yet the logged word is current, so commit-time
+   validation passes a broken snapshot. *)
+and stale_read tx oi addr spins v =
+  let th = tx.thread in
+  th.platform.consume 1;
+  let w2 = Orec.get th.orecs oi in
+  if Orec.is_locked w2 then full_read_loop tx oi addr (spins + 1)
+  else begin
+    th.read_seen_epoch.(oi) <- th.epoch;
+    th.read_seen_word.(oi) <- w2;
+    push_read tx oi w2;
+    v
   end
 
 (* Forward declaration dance: the pessimistic read acquires exactly like a
@@ -807,6 +804,14 @@ let rec acquire_loop tx oi spins =
   end
   else acquire_loop tx oi (spins + 1)
 
+(* Two-phase locking (Config.pessimistic_reads): lock the record for
+   reading; no read set, no validation, no zombies. *)
+let pessimistic_read tx oi addr =
+  let th = tx.thread in
+  th.platform.consume Costs.pessimistic_read;
+  acquire_loop tx oi 0;
+  mem_get th addr
+
 let full_read tx addr =
   let th = tx.thread in
   let oi = Orec.index_of th.orecs addr in
@@ -814,13 +819,8 @@ let full_read tx addr =
     th.platform.consume Costs.read_owned;
     mem_get th addr
   end
-  else if th.config.Config.pessimistic_reads then begin
-    (* Two-phase locking: lock the record for reading; no read set, no
-       validation, no zombies. *)
-    th.platform.consume Costs.pessimistic_read;
-    acquire_loop tx oi 0;
-    mem_get th addr
-  end
+  else if th.debug && th.config.Config.pessimistic_reads then
+    pessimistic_read tx oi addr
   else begin
     th.platform.consume Costs.read_barrier;
     maybe_validate tx;
@@ -836,14 +836,22 @@ let access_class_of cls =
   else if cls = elide_private_code then Elided_private
   else Elided_static
 
+(* Debug-only barrier prologue, in order around the bounds sandbox (which
+   a lazy write defers): validation fuel, the spurious-abort fault and
+   audit classification. *)
+let debug_entry tx addr ~site ~is_write ~sandbox =
+  let th = tx.thread in
+  burn_fuel tx;
+  if sandbox then sandbox_bounds tx addr;
+  if fault_fires th Fault.Spurious_abort then raise Retry_conflict;
+  if th.config.Config.audit then audit_classify tx addr 1 ~site ~is_write
+
 let read ?(site = Site.anonymous_read) tx addr =
   let th = tx.thread in
   let st = th.stats in
   st.reads <- st.reads + 1;
-  burn_fuel tx;
-  sandbox_bounds tx addr;
-  if fault_fires th Fault.Spurious_abort then raise Retry_conflict;
-  if th.config.Config.audit then audit_classify tx addr 1 ~site ~is_write:false;
+  if th.debug then debug_entry tx addr ~site ~is_write:false ~sandbox:true
+  else sandbox_bounds tx addr;
   (* Lazy versioning: probe the redo buffer *before* the capture check —
      one AND on the summary word when the buffer cannot hold the address.
      The order matters: a nested scope can buffer a write to memory an
@@ -869,7 +877,7 @@ let read ?(site = Site.anonymous_read) tx addr =
     value
   end
   else begin
-    let e = try_elide tx addr 1 ~site ~is_write:false in
+    let e = try_elide tx th.read_plan addr 1 ~site in
     let cls = elision_class e in
     let value =
       if cls = keep_code then begin
@@ -922,6 +930,27 @@ let full_write tx addr v =
    end);
   mem_set th addr v
 
+(* A capture-elided store, in either versioning mode: count it, charge
+   it, store directly.  Durable elision: captured (stack/heap/static)
+   stores need no WAL entry — stacks are transient and own-allocation
+   images ride in the commit record.  Private stores are immediately
+   visible shared state and survive aborts, so they are logged raw. *)
+let elided_store th addr v e =
+  let st = th.stats in
+  let cls = elision_class e in
+  (if cls = elide_stack_code then
+     st.writes_elided_stack <- st.writes_elided_stack + 1
+   else if cls = elide_heap_code then
+     st.writes_elided_heap <- st.writes_elided_heap + 1
+   else if cls = elide_private_code then
+     st.writes_elided_private <- st.writes_elided_private + 1
+   else st.writes_elided_static <- st.writes_elided_static + 1);
+  th.platform.consume (elision_cost e + Costs.direct_access);
+  (if th.wal <> None then
+     if cls = elide_private_code then wal_raw th addr v
+     else st.wal_skips <- st.wal_skips + 1);
+  mem_set th addr v
+
 (* Lazy-versioning write barrier.  Probe the buffer first (same ordering
    argument as the read barrier: an already-buffered address must stay
    buffered even where the capture check would now elide — publishing
@@ -963,7 +992,7 @@ let lazy_write tx addr v ~site =
     | Some f -> f th.tid (Ev_write { addr; value = v; cls = Instrumented })
   end
   else begin
-    let e = try_elide tx addr 1 ~site ~is_write:true in
+    let e = try_elide tx th.write_plan addr 1 ~site in
     let cls = elision_class e in
     if cls = keep_code then begin
       th.platform.consume (elision_cost e);
@@ -987,23 +1016,8 @@ let lazy_write tx addr v ~site =
          commit-time write-back.  Direct stores touch memory now, so
          the sandbox bounds guard applies here. *)
       sandbox_bounds tx addr;
-      (if cls = elide_stack_code then
-         st.writes_elided_stack <- st.writes_elided_stack + 1
-       else if cls = elide_heap_code then
-         st.writes_elided_heap <- st.writes_elided_heap + 1
-       else if cls = elide_private_code then
-         st.writes_elided_private <- st.writes_elided_private + 1
-       else st.writes_elided_static <- st.writes_elided_static + 1);
       st.redo_skips <- st.redo_skips + 1;
-      th.platform.consume (elision_cost e + Costs.direct_access);
-      (* Durable elision: captured (stack/heap/static) stores need no
-         WAL entry — stacks are transient and own-allocation images ride
-         in the commit record.  Private stores are immediately visible
-         shared state and survive aborts, so they are logged raw. *)
-      (if th.wal <> None then
-         if cls = elide_private_code then wal_raw th addr v
-         else st.wal_skips <- st.wal_skips + 1);
-      mem_set th addr v;
+      elided_store th addr v e;
       match !tracer with
       | None -> ()
       | Some f ->
@@ -1015,39 +1029,19 @@ let write ?(site = Site.anonymous_write) tx addr v =
   let th = tx.thread in
   let st = th.stats in
   st.writes <- st.writes + 1;
-  burn_fuel tx;
-  if th.config.Config.lazy_versioning then begin
-    if fault_fires th Fault.Spurious_abort then raise Retry_conflict;
-    if th.config.Config.audit then
-      audit_classify tx addr 1 ~site ~is_write:true;
-    lazy_write tx addr v ~site
-  end
+  let lazy_mode = th.config.Config.lazy_versioning in
+  if th.debug then
+    debug_entry tx addr ~site ~is_write:true ~sandbox:(not lazy_mode)
+  else if not lazy_mode then sandbox_bounds tx addr;
+  if lazy_mode then lazy_write tx addr v ~site
   else begin
-    sandbox_bounds tx addr;
-    if fault_fires th Fault.Spurious_abort then raise Retry_conflict;
-    if th.config.Config.audit then
-      audit_classify tx addr 1 ~site ~is_write:true;
-    let e = try_elide tx addr 1 ~site ~is_write:true in
+    let e = try_elide tx th.write_plan addr 1 ~site in
     let cls = elision_class e in
     (if cls = keep_code then begin
        th.platform.consume (elision_cost e);
        full_write tx addr v
      end
-     else begin
-       (if cls = elide_stack_code then
-          st.writes_elided_stack <- st.writes_elided_stack + 1
-        else if cls = elide_heap_code then
-          st.writes_elided_heap <- st.writes_elided_heap + 1
-        else if cls = elide_private_code then
-          st.writes_elided_private <- st.writes_elided_private + 1
-        else st.writes_elided_static <- st.writes_elided_static + 1);
-       th.platform.consume (elision_cost e + Costs.direct_access);
-       (* Same durable-elision split as the lazy barrier above. *)
-       (if th.wal <> None then
-          if cls = elide_private_code then wal_raw th addr v
-          else st.wal_skips <- st.wal_skips + 1);
-       mem_set th addr v
-     end);
+     else elided_store th addr v e);
     match !tracer with
     | None -> ()
     | Some f ->
@@ -1167,25 +1161,10 @@ let remove_private_block th ~addr ~size =
 
 let push_scope tx ~top =
   let th = tx.thread in
-  let cfg = th.config in
   let capture_log =
-    if top then tx.top_capture_log
-    else
-      (* Nested scopes answer capture questions relative to themselves
-         (paper §2.2.1): fresh log. *)
-      match cfg.Config.analysis with
-      | Config.Runtime backend when cfg.Config.scope.Config.check_heap ->
-          Some
-            (Alloc_log.create ~array_capacity:cfg.Config.array_capacity
-               ~filter_buckets:cfg.Config.filter_buckets
-               ~fastpath:cfg.Config.fastpath backend)
-      | Config.Runtime _ | Config.Baseline | Config.Compiler -> None
+    if top then tx.top_capture_log else new_capture_log th.config
   in
-  let audit_log =
-    if top then tx.top_audit_log
-    else if cfg.Config.audit then Some (Alloc_log.create Alloc_log.Tree)
-    else None
-  in
+  let audit_log = if top then tx.top_audit_log else new_audit_log th.config in
   (* A nested scope must not trust the parent's write-after-write notes:
      an address undo-logged by the outer scope still needs a fresh undo
      entry inside the child, or partial abort cannot restore it (the

@@ -147,10 +147,6 @@ val tx_work : tx -> int -> unit
 
 val validate : tx -> bool
 
-(** Diagnostics: when set, lock waits in read barriers record the
-    contended address. *)
-val debug_lock_trace : (int, int) Hashtbl.t option ref
-
 (** {2 Event tracing}
 
     Hook for the schedule-exploration checker ({!Captured_check}): when a

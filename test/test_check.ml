@@ -290,7 +290,7 @@ let test_micros_clean () =
 (* The injected bug: caught, minimized small, replayable               *)
 
 let test_injected_bug_caught () =
-  let config = Config.with_skip_validation tree in
+  let config = Config.with_fault (Some Fault.Skip_validation) tree in
   let workload = Workloads.counter ~nthreads:2 ~incs:3 in
   let r =
     Harness.explore ~workload ~config
@@ -314,7 +314,7 @@ let test_injected_bug_caught () =
         (again.Harness.violation <> None)
 
 let test_injected_bug_caught_by_dfs () =
-  let config = Config.with_skip_validation tree in
+  let config = Config.with_fault (Some Fault.Skip_validation) tree in
   let workload = Workloads.counter ~nthreads:2 ~incs:3 in
   let r =
     Harness.explore ~workload ~config

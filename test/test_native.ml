@@ -12,6 +12,8 @@ module Registry = Captured_apps.Registry
 module Memory = Captured_tmem.Memory
 module Alloc = Captured_tmem.Alloc
 module Alloc_log = Captured_core.Alloc_log
+module Site = Captured_core.Site
+module Access = Captured_tstruct.Access
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -213,52 +215,87 @@ let minor_delta f =
   f ();
   Gc.minor_words () -. before
 
-let test_zero_alloc_full_path () =
-  (* Baseline config: every access takes the full orec-protected barrier
-     (read-set and undo-log pushes included). *)
-  let w = Engine.create ~nthreads:1 Config.baseline in
+(* Write-side runtime checks with deferred updates and EBR: the barrier
+   configuration of the durable intruder benchmark, without the WAL. *)
+let heap_w_lazy_tv_ebr =
+  Config.with_ebr
+    (Config.with_lazy
+       (Config.with_tvalidate
+          (Config.runtime ~scope:Config.heap_write_only_scope Alloc_log.Tree)))
+
+let read_site = Site.declare ~write:false "test_native.zero_alloc.read"
+let write_site = Site.declare ~write:true "test_native.zero_alloc.write"
+
+let zero_alloc_configs =
+  let tree = Config.runtime Alloc_log.Tree in
+  [
+    ("baseline", Config.baseline);
+    ("tree", tree);
+    ("tree+fp", Config.with_fastpath tree);
+    ("heap,w+lazy+tv+ebr", heap_w_lazy_tv_ebr);
+  ]
+
+let zero_alloc_callers =
+  [
+    ("no site", fun tx a -> Txn.write tx a (Txn.read tx a + 1));
+    ( "site",
+      fun tx a ->
+        Txn.write ~site:write_site tx a (Txn.read ~site:read_site tx a + 1) );
+    ( "Access.of_tx",
+      fun tx ->
+        let acc = Access.of_tx tx in
+        fun a ->
+          acc.Access.write ~site:write_site a
+            (acc.Access.read ~site:read_site a + 1) );
+  ]
+
+(* Each case runs read-modify-write loops, after a warm-up that grows
+   the tx-resident read/undo/acquire/redo arrays past any size the
+   measured loops need, over a shared block (full barriers) and over a
+   block the transaction allocated (elided under runtime analysis).  The
+   callers are the ones applications use: no site, a declared site, and
+   an [Access.t] record.  An optional [?site] boxes its [Some site]
+   unless the call inlines, so this also guards the build profile. *)
+let test_zero_alloc config (_, (rmw : Txn.tx -> int -> unit)) () =
+  let w = Engine.create ~nthreads:1 config in
   let th = Engine.setup_thread w in
   let span = 2048 in
-  let base = Alloc.alloc (Engine.global_arena w) span in
-  (* Warm-up: grows the tx-resident read/undo/acquire arrays past any
-     size the measured loops need; the tx record is reused afterwards. *)
+  let shared = Alloc.alloc (Engine.global_arena w) span in
   Txn.atomic th (fun tx ->
+      let f = rmw tx in
       for k = 0 to span - 1 do
-        Txn.write tx (base + k) (Txn.read tx (base + k) + 1)
+        f (shared + k)
       done);
-  let measure n =
-    Txn.atomic th (fun tx ->
-        minor_delta (fun () ->
-            for k = 0 to n - 1 do
-              Txn.write tx (base + k) (Txn.read tx (base + k) + 1)
-            done))
+  let words_per_access ~captured =
+    let measure n =
+      Txn.atomic th (fun tx ->
+          let base = if captured then Txn.alloc tx 512 else shared in
+          let f = rmw tx in
+          minor_delta (fun () ->
+              for k = 0 to n - 1 do
+                f (base + k)
+              done))
+    in
+    (* One throwaway round warms the capture-log internals. *)
+    ignore (measure 8 : float);
+    let small = measure 64 and large = measure 512 in
+    (large -. small) /. float_of_int (2 * (512 - 64))
   in
-  let small = measure 64 and large = measure 512 in
-  Alcotest.(check (float 0.)) "full barriers allocate nothing" small large
-
-let test_zero_alloc_elided_path () =
-  (* Runtime capture analysis: accesses to a block allocated inside the
-     transaction are elided down to raw loads/stores. *)
-  let w =
-    Engine.create ~nthreads:1
-      (Config.with_fastpath (Config.runtime Alloc_log.Tree))
-  in
-  let th = Engine.setup_thread w in
-  let measure n =
-    Txn.atomic th (fun tx ->
-        let block = Txn.alloc tx 512 in
-        minor_delta (fun () ->
-            for k = 0 to n - 1 do
-              Txn.write tx (block + k) (Txn.read tx (block + k) + 1)
-            done))
-  in
-  (* One throwaway round warms the capture-log internals. *)
-  ignore (measure 8 : float);
-  let small = measure 64 and large = measure 512 in
-  Alcotest.(check (float 0.)) "elided barriers allocate nothing" small large;
-  let s = Txn.thread_stats th in
-  check "accesses really were elided" true
-    (s.Stats.reads_elided_heap + s.Stats.reads_elided_private > 500)
+  Alcotest.(check (float 0.))
+    "shared accesses: words per access" 0.
+    (words_per_access ~captured:false);
+  Alcotest.(check (float 0.))
+    "captured accesses: words per access" 0.
+    (words_per_access ~captured:true);
+  match config.Config.analysis with
+  | Config.Runtime _ ->
+      let s = Txn.thread_stats th in
+      check "captured writes really were elided" true
+        (s.Stats.writes_elided_heap > 500);
+      if config.Config.scope.Config.on_reads then
+        check "captured reads really were elided" true
+          (s.Stats.reads_elided_heap + s.Stats.reads_elided_private > 500)
+  | Config.Baseline | Config.Compiler -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Simulator determinism: the hot-path rewrite must not change a single
@@ -276,6 +313,14 @@ let sim_refs =
       268125 );
     ("tree", tree, 72, 375584);
     ("tree+fp+tv", Config.with_fastpath (Config.with_tvalidate tree), 108, 225439);
+    ("compiler", Config.compiler, 129, 206981);
+    ("heap,w+lazy+tv+ebr", heap_w_lazy_tv_ebr, 66, 217065);
+    (* Debug configs: the out-of-line barrier helpers.  Audit and fences
+       charge no cycles, so they must replay their base config exactly. *)
+    ("tree+fuel:64", Config.with_fuel 64 tree, 143, 296787);
+    ("tree+pessimistic", Config.pessimistic tree, 61, 527594);
+    ("tree+fence", Config.with_fences tree, 72, 375584);
+    ("audit", Config.audit, 106, 214284);
   ]
 
 let test_sim_determinism (name, config, aborts, makespan) () =
@@ -327,12 +372,16 @@ let () =
               test_vacation_native_fences;
           ] );
       ( "zero-alloc",
-        [
-          Alcotest.test_case "full barrier path" `Quick
-            test_zero_alloc_full_path;
-          Alcotest.test_case "elided barrier path" `Quick
-            test_zero_alloc_elided_path;
-        ] );
+        List.concat_map
+          (fun (cname, config) ->
+            List.map
+              (fun ((how, _) as caller) ->
+                Alcotest.test_case
+                  (Printf.sprintf "%s, %s" cname how)
+                  `Quick
+                  (test_zero_alloc config caller))
+              zero_alloc_callers)
+          zero_alloc_configs );
       ( "sim-determinism",
         List.map
           (fun ((name, _, _, _) as entry) ->
