@@ -5,7 +5,7 @@
 
    Usage: main.exe [--quick] [--only fig8,table1,...] [--app NAME,...]
    Sections: fig8 fig9 table1 table2 fig10 fig11a fig11b micro ablation
-   fastpath tvalidate contention scale shards lazyab *)
+   fastpath tvalidate contention scale shards lazyab wal reclaim *)
 
 open Captured_apps
 module Config = Captured_stm.Config
@@ -110,6 +110,38 @@ let run_native1 app cfg =
   App.run app ~nthreads:1 ~scale:(scale ()) ~mode:`Native cfg
 
 let improvement ~base x = 100. *. (base -. x) /. base
+
+(* JSON field values.  Bench strings are app, config and policy names,
+   never outside input, so quoting needs no escapes. *)
+let str s = "\"" ^ s ^ "\""
+let f3 x = Printf.sprintf "%.3f" x
+
+(* One JSON line per run: the section, its identity and derived fields,
+   the makespan, then every Stats counter. *)
+let json_line ~section fields (r : Engine.result) =
+  Printf.printf "{\"section\":%s,%s\"makespan\":%d,\"stats\":%s}\n"
+    (str section)
+    (String.concat ""
+       (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%s," k v) fields))
+    r.Engine.makespan (Stats.to_json r.Engine.stats)
+
+(* A/B under one seed: run [cfg false] and [cfg true] on one thread,
+   assert the toggle changed costs but no outcome (equal commits and user
+   aborts; App.run verified each run's invariants), print both JSON lines
+   and return both runs for the section's summary. *)
+let ab ~section app ~cfg ~fields =
+  let run on = run_sim app (cfg on) ~nthreads:1 ~seed:1 in
+  let off = run false in
+  let on = run true in
+  let s (r : Engine.result) = r.Engine.stats in
+  assert ((s off).Stats.commits = (s on).Stats.commits);
+  assert ((s off).Stats.user_aborts = (s on).Stats.user_aborts);
+  let line on r =
+    json_line ~section (("app", str app.App.name) :: fields on) r
+  in
+  line false off;
+  line true on;
+  (off, on)
 
 (* ------------------------------------------------------------------ *)
 (* Figure 8: breakdown of compiler-inserted barriers                    *)
@@ -545,22 +577,6 @@ let ablation () =
 let fastpath_backends =
   [ Alloc_log.Tree; Alloc_log.Array; Alloc_log.Filter ]
 
-let fastpath_json ~app ~backend ~fp (r : Engine.result) =
-  let s = r.Engine.stats in
-  Printf.printf
-    "{\"section\":\"fastpath\",\"app\":\"%s\",\"backend\":\"%s\",\"fastpath\":%b,\
-     \"makespan\":%d,\"capture_check_cycles\":%d,\"summary_rejects\":%d,\
-     \"mru_hits\":%d,\"backend_probes\":%d,\"promotions\":%d,\
-     \"overflows\":%d,\"commits\":%d,\"aborts\":%d,\"reads_elided_heap\":%d,\
-     \"writes_elided_heap\":%d}\n"
-    app
-    (Alloc_log.backend_name backend)
-    fp r.Engine.makespan s.Stats.capture_check_cycles
-    s.Stats.capture_summary_rejects s.Stats.capture_mru_hits
-    s.Stats.capture_backend_probes s.Stats.capture_promotions
-    s.Stats.capture_log_overflows s.Stats.commits s.Stats.aborts
-    s.Stats.reads_elided_heap s.Stats.writes_elided_heap
-
 let fastpath () =
   headline
     "Fast path A/B: hierarchical capture check (summary + MRU + promotion) \
@@ -569,23 +585,16 @@ let fastpath () =
     (fun app ->
       List.iter
         (fun backend ->
-          let run fp =
-            let cfg =
-              Config.with_fastpath ~on:fp (Config.runtime backend)
-            in
-            run_sim app cfg ~nthreads:1 ~seed:1
+          let off, on =
+            ab ~section:"fastpath" app
+              ~cfg:(fun fp ->
+                Config.with_fastpath ~on:fp (Config.runtime backend))
+              ~fields:(fun fp ->
+                [
+                  ("backend", str (Alloc_log.backend_name backend));
+                  ("fastpath", string_of_bool fp);
+                ])
           in
-          let off = run false in
-          let on = run true in
-          (* Semantics preservation under identical seeds: the fast path
-             may change costs and elision counts, never outcomes.  (App
-             invariants were verified inside run_sim for both.) *)
-          assert (off.Engine.stats.Stats.commits = on.Engine.stats.Stats.commits);
-          assert (
-            off.Engine.stats.Stats.user_aborts
-            = on.Engine.stats.Stats.user_aborts);
-          fastpath_json ~app:app.App.name ~backend ~fp:false off;
-          fastpath_json ~app:app.App.name ~backend ~fp:true on;
           let cc (r : Engine.result) =
             float_of_int (max 1 r.Engine.stats.Stats.capture_check_cycles)
           in
@@ -613,20 +622,6 @@ let tvalidate_configs =
          (Alloc_log.backend_name backend, Config.runtime backend))
        fastpath_backends
 
-let tvalidate_json ~app ~config ~tv (r : Engine.result) =
-  let s = r.Engine.stats in
-  Printf.printf
-    "{\"section\":\"tvalidate\",\"app\":\"%s\",\"config\":\"%s\",\
-     \"tvalidate\":%b,\"makespan\":%d,\"validation_cycles\":%d,\
-     \"validations\":%d,\"validations_skipped\":%d,\
-     \"snapshot_extensions\":%d,\"readonly_fast_commits\":%d,\
-     \"clock_advances\":%d,\"commits\":%d,\"aborts\":%d,\
-     \"user_aborts\":%d}\n"
-    app config tv r.Engine.makespan s.Stats.validation_cycles
-    s.Stats.validations s.Stats.validations_skipped
-    s.Stats.snapshot_extensions s.Stats.readonly_fast_commits
-    s.Stats.clock_advances s.Stats.commits s.Stats.aborts s.Stats.user_aborts
-
 let tvalidate () =
   headline
     "Timestamp validation A/B: global version clock + O(1) snapshot checks \
@@ -636,21 +631,12 @@ let tvalidate () =
     (fun app ->
       List.iter
         (fun (cfg_name, cfg) ->
-          let run tv =
-            run_sim app (Config.with_tvalidate ~on:tv cfg) ~nthreads:1 ~seed:1
+          let off, on =
+            ab ~section:"tvalidate" app
+              ~cfg:(fun tv -> Config.with_tvalidate ~on:tv cfg)
+              ~fields:(fun tv ->
+                [ ("config", str cfg_name); ("tvalidate", string_of_bool tv) ])
           in
-          let off = run false in
-          let on = run true in
-          (* Semantics preservation under identical seeds: timestamp
-             validation may change where validation cycles go, never
-             outcomes.  (App invariants were verified inside run_sim for
-             both.) *)
-          assert (off.Engine.stats.Stats.commits = on.Engine.stats.Stats.commits);
-          assert (
-            off.Engine.stats.Stats.user_aborts
-            = on.Engine.stats.Stats.user_aborts);
-          tvalidate_json ~app:app.App.name ~config:cfg_name ~tv:false off;
-          tvalidate_json ~app:app.App.name ~config:cfg_name ~tv:true on;
           let vc (r : Engine.result) =
             float_of_int (max 1 r.Engine.stats.Stats.validation_cycles)
           in
@@ -670,18 +656,6 @@ let tvalidate () =
 
 (* ------------------------------------------------------------------ *)
 (* Contention: CM policy sweep — abort behaviour vs thread count         *)
-
-let contention_json ~policy ~nthreads (r : Engine.result) =
-  let s = r.Engine.stats in
-  Printf.printf
-    "{\"section\":\"contention\",\"policy\":\"%s\",\"threads\":%d,\
-     \"commits\":%d,\"aborts\":%d,\"abort_ratio\":%.3f,\"spin_aborts\":%d,\
-     \"backoff_cycles\":%d,\"cm_max_consec_aborts\":%d,\
-     \"cm_starvation_events\":%d,\"makespan\":%d}\n"
-    (Cm.policy_name policy) nthreads s.Stats.commits s.Stats.aborts
-    (Stats.abort_ratio s) s.Stats.spin_aborts s.Stats.backoff_cycles
-    s.Stats.cm_max_consec_aborts s.Stats.cm_starvation_events
-    r.Engine.makespan
 
 let contention () =
   headline
@@ -714,7 +688,12 @@ let contention () =
           assert (
             Captured_tmem.Memory.get (Engine.memory w) cell
             = nthreads * incs);
-          contention_json ~policy ~nthreads r;
+          json_line ~section:"contention"
+            [
+              ("policy", str (Cm.policy_name policy));
+              ("threads", string_of_int nthreads);
+            ]
+            r;
           let s = r.Engine.stats in
           Printf.printf
             "# %-9s %2d thr  abort/commit %5.2f  max-consec %3d  \
@@ -736,20 +715,6 @@ let scale_configs =
     ("tv", Config.with_tvalidate base);
     ("fptv", Config.with_fastpath (Config.with_tvalidate base));
   ]
-
-let scale_json ~app ~config ~domains ~reps ~wall_ms ~throughput ~speedup
-    ~ar_delta (r : Engine.result) =
-  let s = r.Engine.stats in
-  Printf.printf
-    "{\"section\":\"scale\",\"app\":\"%s\",\"config\":\"%s\",\"domains\":%d,\
-     \"reps\":%d,\"commits\":%d,\"aborts\":%d,\"abort_ratio\":%.3f,\
-     \"abort_ratio_delta_vs_1\":%.3f,\
-     \"spin_aborts\":%d,\"lock_waits\":%d,\"wall_ms\":%.3f,\
-     \"makespan_ns\":%d,\"throughput_commits_per_s\":%.0f,\
-     \"speedup_vs_1\":%.3f}\n"
-    app config domains reps s.Stats.commits s.Stats.aborts
-    (Stats.abort_ratio s) ar_delta s.Stats.spin_aborts s.Stats.lock_waits
-    wall_ms r.Engine.makespan throughput speedup
 
 let scale_section () =
   headline
@@ -808,8 +773,19 @@ let scale_section () =
               (* How much contention the extra domains add: abort ratio
                  here minus this config's own 1-domain baseline. *)
               let ar_delta = ar -. !base_ar in
-              scale_json ~app:app.App.name ~config:cfg_name ~domains:n ~reps
-                ~wall_ms:(1000. *. med_wall) ~throughput ~speedup ~ar_delta r;
+              json_line ~section:"scale"
+                [
+                  ("app", str app.App.name);
+                  ("config", str cfg_name);
+                  ("domains", string_of_int n);
+                  ("reps", string_of_int reps);
+                  ("abort_ratio_delta_vs_1", f3 ar_delta);
+                  ("wall_ms", f3 (1000. *. med_wall));
+                  ( "throughput_commits_per_s",
+                    Printf.sprintf "%.0f" throughput );
+                  ("speedup_vs_1", f3 speedup);
+                ]
+                r;
               Printf.printf
                 "# %-14s %-5s %2d dom  commits %6d  abort/commit %5.2f \
                  (%+5.2f vs 1 dom)  wall %8.2f ms  %9.0f commits/s  \
@@ -825,37 +801,6 @@ let scale_section () =
 
 module Orec = Captured_stm.Orec
 
-let int_array_json a =
-  "[" ^ String.concat "," (List.map string_of_int (Array.to_list a)) ^ "]"
-
-let pairs_json s =
-  let top = List.filteri (fun i _ -> i < 8) (Stats.pairs s) in
-  "["
-  ^ String.concat ","
-      (List.map
-         (fun (shard, tid, peer, n) ->
-           Printf.sprintf "{\"shard\":%d,\"tid\":%d,\"peer\":%d,\"count\":%d}"
-             shard tid peer n)
-         top)
-  ^ "]"
-
-let shards_json ~app ~backend ~shards ~map ~threads (r : Engine.result) =
-  let s = r.Engine.stats in
-  Printf.printf
-    "{\"section\":\"shards\",\"app\":\"%s\",\"backend\":\"%s\",\"shards\":%d,\
-     \"map\":\"%s\",\"threads\":%d,\"commits\":%d,\"aborts\":%d,\
-     \"abort_ratio\":%.3f,\"clock_advances\":%d,\"clock_cas\":%d,\
-     \"clock_resyncs\":%d,\"snapshot_extensions\":%d,\"lock_waits\":%d,\
-     \"makespan\":%d,\"wall_ms\":%.3f,\"shard_acquires\":%s,\
-     \"shard_conflicts\":%s,\"top_conflict_pairs\":%s}\n"
-    app backend shards map threads s.Stats.commits s.Stats.aborts
-    (Stats.abort_ratio s) s.Stats.clock_advances s.Stats.clock_cas
-    s.Stats.clock_resyncs s.Stats.snapshot_extensions s.Stats.lock_waits
-    r.Engine.makespan (1000. *. r.Engine.wall)
-    (int_array_json s.Stats.shard_acquires)
-    (int_array_json s.Stats.shard_conflicts)
-    (pairs_json s)
-
 let shards_section () =
   headline
     "Shards: sharded orec table + decentralized version clock A/B \
@@ -864,6 +809,18 @@ let shards_section () =
   let base = Config.with_tvalidate (Config.runtime Alloc_log.Tree) in
   List.iter
     (fun app ->
+      let line ~backend ~shards ~map ~threads (r : Engine.result) =
+        json_line ~section:"shards"
+          [
+            ("app", str app.App.name);
+            ("backend", str backend);
+            ("shards", string_of_int shards);
+            ("map", str map);
+            ("threads", string_of_int threads);
+            ("wall_ms", f3 (1000. *. r.Engine.wall));
+          ]
+          r
+      in
       (* (a) Shard-count sweep, simulator: shards=1 is the centralized
          clock (every writer commit pays one clock CAS); shards>1 switch
          to the decentralized scheme, whose writer commits must never
@@ -877,8 +834,7 @@ let shards_section () =
             (* The tentpole claim, enforced: no clock CAS on any writer
                commit in decentralized mode. *)
             assert (s.Stats.clock_cas = 0);
-          shards_json ~app:app.App.name ~backend:"sim" ~shards ~map:"hash"
-            ~threads:sim_threads r;
+          line ~backend:"sim" ~shards ~map:"hash" ~threads:sim_threads r;
           Printf.printf
             "# %-14s sim %2d shards  commits %6d  abort/commit %5.2f  \
              clock-cas %6d  resyncs %5d  makespan %9d\n%!"
@@ -898,8 +854,7 @@ let shards_section () =
         r_hash.Engine.stats.Stats.commits = r_aff.Engine.stats.Stats.commits
         && r_hash.Engine.stats.Stats.aborts = r_aff.Engine.stats.Stats.aborts
         && r_hash.Engine.makespan = r_aff.Engine.makespan);
-      shards_json ~app:app.App.name ~backend:"sim" ~shards:4 ~map:"affinity"
-        ~threads:sim_threads r_aff;
+      line ~backend:"sim" ~shards:4 ~map:"affinity" ~threads:sim_threads r_aff;
       (* (c) Profile-driven remap through the runtime hook: rank shards by
          the profiling run's conflict counts and relabel hottest-first,
          installing the permutation on a fresh world before any
@@ -923,8 +878,7 @@ let shards_section () =
       assert (
         r_prof.Engine.stats.Stats.commits = r_hash.Engine.stats.Stats.commits
         && r_prof.Engine.makespan = r_hash.Engine.makespan);
-      shards_json ~app:app.App.name ~backend:"sim" ~shards:4 ~map:"profiled"
-        ~threads:sim_threads r_prof;
+      line ~backend:"sim" ~shards:4 ~map:"profiled" ~threads:sim_threads r_prof;
       Printf.printf
         "# %-14s map A/B: hash = affinity = profiled (commits %d, \
          makespan %d) — relabeling invariance holds\n%!"
@@ -943,8 +897,7 @@ let shards_section () =
               in
               let s = r.Engine.stats in
               if shards > 1 then assert (s.Stats.clock_cas = 0);
-              shards_json ~app:app.App.name ~backend:"native" ~shards ~map:"hash"
-                ~threads:n r;
+              line ~backend:"native" ~shards ~map:"hash" ~threads:n r;
               Printf.printf
                 "# %-14s native %2d dom %2d shards  commits %6d  \
                  abort/commit %5.2f  clock-cas %6d  wall %8.2f ms\n%!"
@@ -956,20 +909,6 @@ let shards_section () =
 
 (* ------------------------------------------------------------------ *)
 (* Eager vs lazy versioning A/B: same app, same seed, deferred updates   *)
-
-let lazyab_json ~app ~config ~mode (r : Engine.result) =
-  let s = r.Engine.stats in
-  Printf.printf
-    "{\"section\":\"lazyab\",\"app\":\"%s\",\"config\":\"%s\",\"mode\":\"%s\",\
-     \"makespan\":%d,\"commits\":%d,\"aborts\":%d,\"user_aborts\":%d,\
-     \"writes\":%d,\"writes_elided_heap\":%d,\"writes_elided_stack\":%d,\
-     \"redo_inserts\":%d,\"redo_hits\":%d,\"redo_skips\":%d,\
-     \"publish_cycles\":%d,\"undo_entries\":%d,\"waw_hits\":%d}\n"
-    app config mode r.Engine.makespan s.Stats.commits s.Stats.aborts
-    s.Stats.user_aborts s.Stats.writes s.Stats.writes_elided_heap
-    s.Stats.writes_elided_stack s.Stats.redo_inserts s.Stats.redo_hits
-    s.Stats.redo_skips s.Stats.publish_cycles s.Stats.undo_entries
-    s.Stats.waw_hits
 
 (* Apps whose transactions initialise freshly-allocated structures, so the
    capture check must prove writes captured and lazy mode must elide their
@@ -990,22 +929,19 @@ let lazyab () =
     (fun app ->
       List.iter
         (fun (cname, cfg) ->
-          let eager = run_sim app cfg ~nthreads:1 ~seed:1 in
-          let lz = run_sim app (Config.with_lazy cfg) ~nthreads:1 ~seed:1 in
-          let es = eager.Engine.stats and ls = lz.Engine.stats in
-          (* Semantics preservation under identical seeds: versioning
-             policy may change costs, never outcomes.  (App invariants
-             were verified inside run_sim for both.) *)
-          assert (es.Stats.commits = ls.Stats.commits);
-          assert (es.Stats.user_aborts = ls.Stats.user_aborts);
+          let with_lazy lz = if lz then Config.with_lazy cfg else cfg in
+          let eager, lz =
+            ab ~section:"lazyab" app ~cfg:with_lazy ~fields:(fun lz ->
+                [
+                  ("config", str cname);
+                  ("mode", str (Config.mode_name (with_lazy lz)));
+                ])
+          in
+          let ls = lz.Engine.stats in
           (* The paper's payoff must actually materialise on the alloc-
              heavy apps once the capture check is in play. *)
           if List.mem app.App.name lazyab_must_skip then
             assert (ls.Stats.redo_skips > 0);
-          lazyab_json ~app:app.App.name ~config:cname
-            ~mode:(Config.mode_name cfg) eager;
-          lazyab_json ~app:app.App.name ~config:cname
-            ~mode:(Config.mode_name (Config.with_lazy cfg)) lz;
           let shared_w = ls.Stats.redo_inserts + ls.Stats.waw_hits in
           let skipped = ls.Stats.redo_skips in
           Printf.printf
@@ -1027,20 +963,6 @@ let lazyab () =
 (* Durable transactions: WAL overhead and recovery cost                 *)
 
 module Wal = Captured_stm.Wal
-
-let wal_json ~app ~mode ~commits ~(s : Stats.t) ~appended ~log_bytes
-    ~recovery_ms =
-  Printf.printf
-    "{\"section\":\"wal\",\"app\":\"%s\",\"mode\":\"%s\",\
-     \"commits\":%d,\"wal\":{\"records\":%d,\"log_bytes\":%d,\
-     \"appended_bytes\":%d,\"bytes_per_commit\":%.1f,\"fsyncs\":%d,\
-     \"wal_skips\":%d,\"writes_elided\":%d,\"recovery_ms\":%.3f}}\n"
-    app mode commits s.Stats.wal_records log_bytes appended
-    (float_of_int appended /. float_of_int (max 1 commits))
-    s.Stats.wal_fsyncs s.Stats.wal_skips
-    (s.Stats.writes_elided_stack + s.Stats.writes_elided_heap
-    + s.Stats.writes_elided_static)
-    recovery_ms
 
 let wal_section () =
   headline
@@ -1079,9 +1001,19 @@ let wal_section () =
             s.Stats.writes_elided_stack + s.Stats.writes_elided_heap
             + s.Stats.writes_elided_static
           in
-          wal_json ~app:app.App.name ~mode:mname ~commits:s.Stats.commits
-            ~s ~appended:(Wal.appended_bytes w) ~log_bytes:(Wal.log_bytes w)
-            ~recovery_ms:rc.Wal.r_wall_ms;
+          json_line ~section:"wal"
+            [
+              ("app", str app.App.name);
+              ("mode", str mname);
+              ("log_bytes", string_of_int (Wal.log_bytes w));
+              ("appended_bytes", string_of_int (Wal.appended_bytes w));
+              ( "bytes_per_commit",
+                Printf.sprintf "%.1f"
+                  (float_of_int (Wal.appended_bytes w)
+                  /. float_of_int (max 1 s.Stats.commits)) );
+              ("recovery_ms", f3 rc.Wal.r_wall_ms);
+            ]
+            r;
           Printf.printf
             "# %-14s %-10s %7d B logged / %5d commits (%6.1f B/txn)  \
              fsyncs %5d  captured-skips %7d/%7d (%5.1f%% of elided \
@@ -1100,18 +1032,6 @@ let wal_section () =
 (* ------------------------------------------------------------------ *)
 (* Epoch-based reclamation A/B: limbo depth and reclaim-stall overhead  *)
 
-let reclaim_json ~app ~ebr ~threads (r : Engine.result) =
-  let s = r.Engine.stats in
-  Printf.printf
-    "{\"section\":\"reclaim\",\"app\":\"%s\",\"ebr\":%b,\"threads\":%d,\
-     \"commits\":%d,\"aborts\":%d,\"user_aborts\":%d,\"tx_frees\":%d,\
-     \"limbo_blocks\":%d,\"limbo_words\":%d,\"epoch_advances\":%d,\
-     \"reclaim_stalls\":%d,\"grace_waits\":%d,\"makespan\":%d}\n"
-    app ebr threads s.Stats.commits s.Stats.aborts s.Stats.user_aborts
-    s.Stats.tx_frees s.Stats.limbo_blocks s.Stats.limbo_words
-    s.Stats.epoch_advances s.Stats.reclaim_stalls s.Stats.grace_waits
-    r.Engine.makespan
-
 let reclaim_section () =
   headline
     "Reclaim A/B: epoch-based reclamation on vs off — identical outcomes, \
@@ -1122,22 +1042,25 @@ let reclaim_section () =
       (* (a) Single-thread A/B under identical seeds: EBR only defers when
          a freed block returns to the free lists, so commit and user-abort
          counts must match exactly. *)
-      let off = run_sim app cfg ~nthreads:1 ~seed:1 in
-      let on = run_sim app (Config.with_ebr cfg) ~nthreads:1 ~seed:1 in
-      assert (off.Engine.stats.Stats.commits = on.Engine.stats.Stats.commits);
-      assert (
-        off.Engine.stats.Stats.user_aborts = on.Engine.stats.Stats.user_aborts);
-      reclaim_json ~app:app.App.name ~ebr:false ~threads:1 off;
-      reclaim_json ~app:app.App.name ~ebr:true ~threads:1 on;
+      let with_ebr ebr = if ebr then Config.with_ebr cfg else cfg in
+      let fields ~threads ebr =
+        [ ("ebr", string_of_bool ebr); ("threads", string_of_int threads) ]
+      in
+      let off, on =
+        ab ~section:"reclaim" app ~cfg:with_ebr ~fields:(fields ~threads:1)
+      in
       (* (b) 16-thread leg: limbo depth and epoch traffic under real
          contention (EBR's extra cycles shift interleavings, so only the
          +ebr run's own counters are meaningful here). *)
-      let off16 = run_sim app cfg ~nthreads:sim_threads ~seed:1 in
-      let on16 =
-        run_sim app (Config.with_ebr cfg) ~nthreads:sim_threads ~seed:1
+      let run16 ebr =
+        let r = run_sim app (with_ebr ebr) ~nthreads:sim_threads ~seed:1 in
+        json_line ~section:"reclaim"
+          (("app", str app.App.name) :: fields ~threads:sim_threads ebr)
+          r;
+        r
       in
-      reclaim_json ~app:app.App.name ~ebr:false ~threads:sim_threads off16;
-      reclaim_json ~app:app.App.name ~ebr:true ~threads:sim_threads on16;
+      let off16 = run16 false in
+      let on16 = run16 true in
       let s = on16.Engine.stats in
       Printf.printf
         "# %-14s frees %6d  limbo high-water %4d blocks / %5d words  \

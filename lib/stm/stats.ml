@@ -2,8 +2,6 @@ type t = {
   mutable commits : int;
   mutable aborts : int;
   mutable user_aborts : int;
-  mutable nested_commits : int;
-  mutable nested_aborts : int;
   mutable reads : int;
   mutable writes : int;
   mutable reads_elided_stack : int;
@@ -73,8 +71,6 @@ let create () =
     commits = 0;
     aborts = 0;
     user_aborts = 0;
-    nested_commits = 0;
-    nested_aborts = 0;
     reads = 0;
     writes = 0;
     reads_elided_stack = 0;
@@ -169,150 +165,132 @@ let pairs t =
     t.conflict_pairs []
   |> List.sort (fun (_, _, _, a) (_, _, _, b) -> compare b a)
 
-let reset t =
-  t.commits <- 0;
-  t.aborts <- 0;
-  t.user_aborts <- 0;
-  t.nested_commits <- 0;
-  t.nested_aborts <- 0;
-  t.reads <- 0;
-  t.writes <- 0;
-  t.reads_elided_stack <- 0;
-  t.reads_elided_heap <- 0;
-  t.reads_elided_private <- 0;
-  t.reads_elided_static <- 0;
-  t.writes_elided_stack <- 0;
-  t.writes_elided_heap <- 0;
-  t.writes_elided_private <- 0;
-  t.writes_elided_static <- 0;
-  t.waw_hits <- 0;
-  t.undo_entries <- 0;
-  t.validations <- 0;
-  t.lock_waits <- 0;
-  t.audit_reads_heap <- 0;
-  t.audit_reads_stack <- 0;
-  t.audit_reads_required <- 0;
-  t.audit_reads_other <- 0;
-  t.audit_writes_heap <- 0;
-  t.audit_writes_stack <- 0;
-  t.audit_writes_required <- 0;
-  t.audit_writes_other <- 0;
-  t.audit_static_violations <- 0;
-  t.tx_allocs <- 0;
-  t.tx_frees <- 0;
-  t.capture_summary_rejects <- 0;
-  t.capture_mru_hits <- 0;
-  t.capture_backend_probes <- 0;
-  t.capture_promotions <- 0;
-  t.capture_log_overflows <- 0;
-  t.capture_check_cycles <- 0;
-  t.validations_skipped <- 0;
-  t.snapshot_extensions <- 0;
-  t.readonly_fast_commits <- 0;
-  t.clock_advances <- 0;
-  t.validation_cycles <- 0;
-  t.spin_aborts <- 0;
-  t.backoff_cycles <- 0;
-  t.fuel_exhaustions <- 0;
-  t.sandbox_aborts <- 0;
-  t.sandbox_bounds <- 0;
-  t.faults_injected <- 0;
-  t.cm_max_consec_aborts <- 0;
-  t.cm_starvation_events <- 0;
-  t.clock_cas <- 0;
-  t.clock_resyncs <- 0;
-  t.redo_inserts <- 0;
-  t.redo_hits <- 0;
-  t.redo_skips <- 0;
-  t.publish_cycles <- 0;
-  t.wal_records <- 0;
-  t.wal_bytes <- 0;
-  t.wal_fsyncs <- 0;
-  t.wal_skips <- 0;
-  t.limbo_blocks <- 0;
-  t.limbo_words <- 0;
-  t.epoch_advances <- 0;
-  t.reclaim_stalls <- 0;
-  t.grace_waits <- 0;
-  Array.fill t.shard_acquires 0 (Array.length t.shard_acquires) 0;
-  Array.fill t.shard_conflicts 0 (Array.length t.shard_conflicts) 0;
-  Hashtbl.reset t.conflict_pairs
+(* The counter table: one row per int field, in report order.  Merging,
+   the JSON object and [stamp_run]'s report all iterate it, so a new
+   counter costs a field, a [create] line and a row. *)
+type counter = {
+  name : string;
+  merge : int -> int -> int;
+  get : t -> int;
+  set : t -> int -> unit;
+}
+
+let row name get set = { name; merge = ( + ); get; set }
+
+(* Per-thread high-water marks, not flow counts: merging takes the max. *)
+let max_row name get set = { name; merge = max; get; set }
+
+let counters =
+  [
+    row "commits" (fun s -> s.commits) (fun s v -> s.commits <- v);
+    row "aborts" (fun s -> s.aborts) (fun s v -> s.aborts <- v);
+    row "user_aborts" (fun s -> s.user_aborts) (fun s v -> s.user_aborts <- v);
+    row "reads" (fun s -> s.reads) (fun s v -> s.reads <- v);
+    row "writes" (fun s -> s.writes) (fun s v -> s.writes <- v);
+    row "reads_elided_stack" (fun s -> s.reads_elided_stack)
+      (fun s v -> s.reads_elided_stack <- v);
+    row "reads_elided_heap" (fun s -> s.reads_elided_heap)
+      (fun s v -> s.reads_elided_heap <- v);
+    row "reads_elided_private" (fun s -> s.reads_elided_private)
+      (fun s v -> s.reads_elided_private <- v);
+    row "reads_elided_static" (fun s -> s.reads_elided_static)
+      (fun s v -> s.reads_elided_static <- v);
+    row "writes_elided_stack" (fun s -> s.writes_elided_stack)
+      (fun s v -> s.writes_elided_stack <- v);
+    row "writes_elided_heap" (fun s -> s.writes_elided_heap)
+      (fun s v -> s.writes_elided_heap <- v);
+    row "writes_elided_private" (fun s -> s.writes_elided_private)
+      (fun s v -> s.writes_elided_private <- v);
+    row "writes_elided_static" (fun s -> s.writes_elided_static)
+      (fun s v -> s.writes_elided_static <- v);
+    row "waw_hits" (fun s -> s.waw_hits) (fun s v -> s.waw_hits <- v);
+    row "undo_entries" (fun s -> s.undo_entries)
+      (fun s v -> s.undo_entries <- v);
+    row "validations" (fun s -> s.validations) (fun s v -> s.validations <- v);
+    row "lock_waits" (fun s -> s.lock_waits) (fun s v -> s.lock_waits <- v);
+    row "audit_reads_heap" (fun s -> s.audit_reads_heap)
+      (fun s v -> s.audit_reads_heap <- v);
+    row "audit_reads_stack" (fun s -> s.audit_reads_stack)
+      (fun s v -> s.audit_reads_stack <- v);
+    row "audit_reads_required" (fun s -> s.audit_reads_required)
+      (fun s v -> s.audit_reads_required <- v);
+    row "audit_reads_other" (fun s -> s.audit_reads_other)
+      (fun s v -> s.audit_reads_other <- v);
+    row "audit_writes_heap" (fun s -> s.audit_writes_heap)
+      (fun s v -> s.audit_writes_heap <- v);
+    row "audit_writes_stack" (fun s -> s.audit_writes_stack)
+      (fun s v -> s.audit_writes_stack <- v);
+    row "audit_writes_required" (fun s -> s.audit_writes_required)
+      (fun s v -> s.audit_writes_required <- v);
+    row "audit_writes_other" (fun s -> s.audit_writes_other)
+      (fun s v -> s.audit_writes_other <- v);
+    row "audit_static_violations" (fun s -> s.audit_static_violations)
+      (fun s v -> s.audit_static_violations <- v);
+    row "tx_allocs" (fun s -> s.tx_allocs) (fun s v -> s.tx_allocs <- v);
+    row "tx_frees" (fun s -> s.tx_frees) (fun s v -> s.tx_frees <- v);
+    row "capture_summary_rejects" (fun s -> s.capture_summary_rejects)
+      (fun s v -> s.capture_summary_rejects <- v);
+    row "capture_mru_hits" (fun s -> s.capture_mru_hits)
+      (fun s v -> s.capture_mru_hits <- v);
+    row "capture_backend_probes" (fun s -> s.capture_backend_probes)
+      (fun s v -> s.capture_backend_probes <- v);
+    row "capture_promotions" (fun s -> s.capture_promotions)
+      (fun s v -> s.capture_promotions <- v);
+    row "capture_log_overflows" (fun s -> s.capture_log_overflows)
+      (fun s v -> s.capture_log_overflows <- v);
+    row "capture_check_cycles" (fun s -> s.capture_check_cycles)
+      (fun s v -> s.capture_check_cycles <- v);
+    row "validations_skipped" (fun s -> s.validations_skipped)
+      (fun s v -> s.validations_skipped <- v);
+    row "snapshot_extensions" (fun s -> s.snapshot_extensions)
+      (fun s v -> s.snapshot_extensions <- v);
+    row "readonly_fast_commits" (fun s -> s.readonly_fast_commits)
+      (fun s v -> s.readonly_fast_commits <- v);
+    row "clock_advances" (fun s -> s.clock_advances)
+      (fun s v -> s.clock_advances <- v);
+    row "validation_cycles" (fun s -> s.validation_cycles)
+      (fun s v -> s.validation_cycles <- v);
+    row "spin_aborts" (fun s -> s.spin_aborts) (fun s v -> s.spin_aborts <- v);
+    row "backoff_cycles" (fun s -> s.backoff_cycles)
+      (fun s v -> s.backoff_cycles <- v);
+    row "fuel_exhaustions" (fun s -> s.fuel_exhaustions)
+      (fun s v -> s.fuel_exhaustions <- v);
+    row "sandbox_aborts" (fun s -> s.sandbox_aborts)
+      (fun s v -> s.sandbox_aborts <- v);
+    row "sandbox_bounds" (fun s -> s.sandbox_bounds)
+      (fun s v -> s.sandbox_bounds <- v);
+    row "faults_injected" (fun s -> s.faults_injected)
+      (fun s v -> s.faults_injected <- v);
+    max_row "cm_max_consec_aborts" (fun s -> s.cm_max_consec_aborts)
+      (fun s v -> s.cm_max_consec_aborts <- v);
+    row "cm_starvation_events" (fun s -> s.cm_starvation_events)
+      (fun s v -> s.cm_starvation_events <- v);
+    row "clock_cas" (fun s -> s.clock_cas) (fun s v -> s.clock_cas <- v);
+    row "clock_resyncs" (fun s -> s.clock_resyncs)
+      (fun s v -> s.clock_resyncs <- v);
+    row "redo_inserts" (fun s -> s.redo_inserts)
+      (fun s v -> s.redo_inserts <- v);
+    row "redo_hits" (fun s -> s.redo_hits) (fun s v -> s.redo_hits <- v);
+    row "redo_skips" (fun s -> s.redo_skips) (fun s v -> s.redo_skips <- v);
+    row "publish_cycles" (fun s -> s.publish_cycles)
+      (fun s v -> s.publish_cycles <- v);
+    row "wal_records" (fun s -> s.wal_records) (fun s v -> s.wal_records <- v);
+    row "wal_bytes" (fun s -> s.wal_bytes) (fun s v -> s.wal_bytes <- v);
+    row "wal_fsyncs" (fun s -> s.wal_fsyncs) (fun s v -> s.wal_fsyncs <- v);
+    row "wal_skips" (fun s -> s.wal_skips) (fun s v -> s.wal_skips <- v);
+    max_row "limbo_blocks" (fun s -> s.limbo_blocks)
+      (fun s v -> s.limbo_blocks <- v);
+    max_row "limbo_words" (fun s -> s.limbo_words)
+      (fun s v -> s.limbo_words <- v);
+    row "epoch_advances" (fun s -> s.epoch_advances)
+      (fun s v -> s.epoch_advances <- v);
+    row "reclaim_stalls" (fun s -> s.reclaim_stalls)
+      (fun s v -> s.reclaim_stalls <- v);
+    row "grace_waits" (fun s -> s.grace_waits) (fun s v -> s.grace_waits <- v);
+  ]
 
 let merge acc x =
-  acc.commits <- acc.commits + x.commits;
-  acc.aborts <- acc.aborts + x.aborts;
-  acc.user_aborts <- acc.user_aborts + x.user_aborts;
-  acc.nested_commits <- acc.nested_commits + x.nested_commits;
-  acc.nested_aborts <- acc.nested_aborts + x.nested_aborts;
-  acc.reads <- acc.reads + x.reads;
-  acc.writes <- acc.writes + x.writes;
-  acc.reads_elided_stack <- acc.reads_elided_stack + x.reads_elided_stack;
-  acc.reads_elided_heap <- acc.reads_elided_heap + x.reads_elided_heap;
-  acc.reads_elided_private <- acc.reads_elided_private + x.reads_elided_private;
-  acc.reads_elided_static <- acc.reads_elided_static + x.reads_elided_static;
-  acc.writes_elided_stack <- acc.writes_elided_stack + x.writes_elided_stack;
-  acc.writes_elided_heap <- acc.writes_elided_heap + x.writes_elided_heap;
-  acc.writes_elided_private <-
-    acc.writes_elided_private + x.writes_elided_private;
-  acc.writes_elided_static <- acc.writes_elided_static + x.writes_elided_static;
-  acc.waw_hits <- acc.waw_hits + x.waw_hits;
-  acc.undo_entries <- acc.undo_entries + x.undo_entries;
-  acc.validations <- acc.validations + x.validations;
-  acc.lock_waits <- acc.lock_waits + x.lock_waits;
-  acc.audit_reads_heap <- acc.audit_reads_heap + x.audit_reads_heap;
-  acc.audit_reads_stack <- acc.audit_reads_stack + x.audit_reads_stack;
-  acc.audit_reads_required <- acc.audit_reads_required + x.audit_reads_required;
-  acc.audit_reads_other <- acc.audit_reads_other + x.audit_reads_other;
-  acc.audit_writes_heap <- acc.audit_writes_heap + x.audit_writes_heap;
-  acc.audit_writes_stack <- acc.audit_writes_stack + x.audit_writes_stack;
-  acc.audit_writes_required <-
-    acc.audit_writes_required + x.audit_writes_required;
-  acc.audit_writes_other <- acc.audit_writes_other + x.audit_writes_other;
-  acc.audit_static_violations <-
-    acc.audit_static_violations + x.audit_static_violations;
-  acc.tx_allocs <- acc.tx_allocs + x.tx_allocs;
-  acc.tx_frees <- acc.tx_frees + x.tx_frees;
-  acc.capture_summary_rejects <-
-    acc.capture_summary_rejects + x.capture_summary_rejects;
-  acc.capture_mru_hits <- acc.capture_mru_hits + x.capture_mru_hits;
-  acc.capture_backend_probes <-
-    acc.capture_backend_probes + x.capture_backend_probes;
-  acc.capture_promotions <- acc.capture_promotions + x.capture_promotions;
-  acc.capture_log_overflows <-
-    acc.capture_log_overflows + x.capture_log_overflows;
-  acc.capture_check_cycles <- acc.capture_check_cycles + x.capture_check_cycles;
-  acc.validations_skipped <- acc.validations_skipped + x.validations_skipped;
-  acc.snapshot_extensions <- acc.snapshot_extensions + x.snapshot_extensions;
-  acc.readonly_fast_commits <-
-    acc.readonly_fast_commits + x.readonly_fast_commits;
-  acc.clock_advances <- acc.clock_advances + x.clock_advances;
-  acc.validation_cycles <- acc.validation_cycles + x.validation_cycles;
-  acc.spin_aborts <- acc.spin_aborts + x.spin_aborts;
-  acc.backoff_cycles <- acc.backoff_cycles + x.backoff_cycles;
-  acc.fuel_exhaustions <- acc.fuel_exhaustions + x.fuel_exhaustions;
-  acc.sandbox_aborts <- acc.sandbox_aborts + x.sandbox_aborts;
-  acc.sandbox_bounds <- acc.sandbox_bounds + x.sandbox_bounds;
-  acc.faults_injected <- acc.faults_injected + x.faults_injected;
-  (* A per-thread maximum, not a flow count: merging takes the max. *)
-  acc.cm_max_consec_aborts <- max acc.cm_max_consec_aborts x.cm_max_consec_aborts;
-  acc.cm_starvation_events <- acc.cm_starvation_events + x.cm_starvation_events;
-  acc.clock_cas <- acc.clock_cas + x.clock_cas;
-  acc.clock_resyncs <- acc.clock_resyncs + x.clock_resyncs;
-  acc.redo_inserts <- acc.redo_inserts + x.redo_inserts;
-  acc.redo_hits <- acc.redo_hits + x.redo_hits;
-  acc.redo_skips <- acc.redo_skips + x.redo_skips;
-  acc.publish_cycles <- acc.publish_cycles + x.publish_cycles;
-  acc.wal_records <- acc.wal_records + x.wal_records;
-  acc.wal_bytes <- acc.wal_bytes + x.wal_bytes;
-  acc.wal_fsyncs <- acc.wal_fsyncs + x.wal_fsyncs;
-  acc.wal_skips <- acc.wal_skips + x.wal_skips;
-  (* Limbo depth is a per-thread high-water mark, like
-     [cm_max_consec_aborts]: merging takes the max. *)
-  acc.limbo_blocks <- max acc.limbo_blocks x.limbo_blocks;
-  acc.limbo_words <- max acc.limbo_words x.limbo_words;
-  acc.epoch_advances <- acc.epoch_advances + x.epoch_advances;
-  acc.reclaim_stalls <- acc.reclaim_stalls + x.reclaim_stalls;
-  acc.grace_waits <- acc.grace_waits + x.grace_waits;
+  List.iter (fun c -> c.set acc (c.merge (c.get acc) (c.get x))) counters;
   ensure_shards acc (Array.length x.shard_acquires);
   Array.iteri
     (fun i v -> acc.shard_acquires.(i) <- acc.shard_acquires.(i) + v)
@@ -345,9 +323,18 @@ let writes_elided t =
 let abort_ratio t =
   if t.commits = 0 then 0. else float_of_int t.aborts /. float_of_int t.commits
 
-let pp fmt t =
-  Format.fprintf fmt
-    "commits=%d aborts=%d (ratio %.2f) reads=%d (elided %d) writes=%d \
-     (elided %d) waw=%d undo=%d"
-    t.commits t.aborts (abort_ratio t) t.reads (reads_elided t) t.writes
-    (writes_elided t) t.waw_hits t.undo_entries
+let to_json t =
+  let field c = Printf.sprintf "\"%s\":%d" c.name (c.get t) in
+  let ints a = String.concat "," (List.map string_of_int (Array.to_list a)) in
+  let pair (shard, tid, peer, n) =
+    Printf.sprintf "{\"shard\":%d,\"tid\":%d,\"peer\":%d,\"count\":%d}" shard
+      tid peer n
+  in
+  (* The hottest pairs only, so a pathological run cannot flood the line. *)
+  let top = List.filteri (fun i _ -> i < 8) (pairs t) in
+  Printf.sprintf
+    "{%s,\"shard_acquires\":[%s],\"shard_conflicts\":[%s],\
+     \"top_conflict_pairs\":[%s]}"
+    (String.concat "," (List.map field counters))
+    (ints t.shard_acquires) (ints t.shard_conflicts)
+    (String.concat "," (List.map pair top))

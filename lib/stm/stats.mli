@@ -10,8 +10,6 @@ type t = {
   mutable commits : int;
   mutable aborts : int;
   mutable user_aborts : int;
-  mutable nested_commits : int;
-  mutable nested_aborts : int;
   (* dynamic barrier counts *)
   mutable reads : int;
   mutable writes : int;
@@ -165,7 +163,20 @@ type t = {
 }
 
 val create : unit -> t
-val reset : t -> unit
+
+(** One int counter: its name (the field name, and its JSON key), how
+    per-thread values combine, and its field accessors. *)
+type counter = {
+  name : string;
+  merge : int -> int -> int;
+      (** [( + )] for flow counts, [max] for high-water marks. *)
+  get : t -> int;
+  set : t -> int -> unit;
+}
+
+val counters : counter list
+(** Every int field of {!t}, once, in report order. *)
+
 val merge : t -> t -> unit
 (** [merge acc x] adds [x] into [acc] (shard arrays grow to the larger
     length; conflict pairs add per key). *)
@@ -188,4 +199,7 @@ val writes_elided : t -> int
 val abort_ratio : t -> float
 (** aborts / commits — the paper's Table 1 metric. *)
 
-val pp : Format.formatter -> t -> unit
+val to_json : t -> string
+(** One JSON object: every {!counters} entry under its name, then
+    [shard_acquires], [shard_conflicts] and the eight hottest
+    [top_conflict_pairs]. *)

@@ -1652,7 +1652,6 @@ let commit_scope tx =
         push_dfree parent child.dfree_addrs.(k)
       done;
       tx.scopes <- rest;
-      th.stats.nested_commits <- th.stats.nested_commits + 1;
       emit th.tid Ev_scope_commit
 
 (* Nested (partial) abort: roll the child scope back, keep the parent
@@ -1682,7 +1681,6 @@ let abort_scope tx =
       Tstack.restore th.stack child.start_sp;
       Waw.clear tx.waw;
       tx.scopes <- rest;
-      th.stats.nested_aborts <- th.stats.nested_aborts + 1;
       emit th.tid Ev_scope_abort
 
 (* ------------------------------------------------------------------ *)

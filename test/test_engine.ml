@@ -306,18 +306,86 @@ let test_barrier_serial_once_per_round () =
 (* ------------------------------------------------------------------ *)
 (* Stats *)
 
-let test_stats_merge_and_reset () =
+(* Every int field has a table row: a field added without one would be
+   silently dropped by merge and by every report.  The 3 are the two
+   shard arrays and the conflict-pair table. *)
+let test_stats_table_covers_record () =
+  check_int "one row per int field"
+    (Obj.size (Obj.repr (Stats.create ())))
+    (List.length Stats.counters + 3)
+
+let test_stats_names_unique () =
+  let names = List.map (fun c -> c.Stats.name) Stats.counters in
+  check_int "distinct names" (List.length names)
+    (List.length (List.sort_uniq compare names))
+
+(* Table-wide merge property: distinct values in every counter of two
+   records; flow counts add, the three per-thread high-water marks take
+   the max. *)
+let high_water = [ "cm_max_consec_aborts"; "limbo_blocks"; "limbo_words" ]
+
+let test_stats_merge () =
   let a = Stats.create () and b = Stats.create () in
-  a.Stats.commits <- 3;
-  a.Stats.reads <- 10;
-  b.Stats.commits <- 4;
-  b.Stats.writes_elided_heap <- 2;
+  List.iteri
+    (fun i c ->
+      c.Stats.set a (i + 1);
+      c.Stats.set b (1000 - (7 * i)))
+    Stats.counters;
   let s = Stats.sum [ a; b ] in
-  check_int "commits" 7 s.Stats.commits;
-  check_int "reads" 10 s.Stats.reads;
-  check_int "writes elided" 2 (Stats.writes_elided s);
-  Stats.reset s;
-  check_int "reset" 0 s.Stats.commits
+  List.iter
+    (fun c ->
+      let x = c.Stats.get a and y = c.Stats.get b in
+      let want = if List.mem c.Stats.name high_water then max x y else x + y in
+      check_int c.Stats.name want (c.Stats.get s))
+    Stats.counters;
+  check_int "writes elided"
+    (Stats.writes_elided a + Stats.writes_elided b)
+    (Stats.writes_elided s);
+  (* The non-table part: shard arrays grow to the longer length and add,
+     conflict pairs add per key. *)
+  Stats.ensure_shards a 2;
+  Stats.ensure_shards b 4;
+  a.Stats.shard_acquires.(1) <- 5;
+  b.Stats.shard_acquires.(1) <- 6;
+  b.Stats.shard_conflicts.(3) <- 2;
+  Stats.note_pair a ~shard:1 ~tid:2 ~peer:3;
+  Stats.note_pair b ~shard:1 ~tid:2 ~peer:3;
+  let s = Stats.sum [ a; b ] in
+  check "shard acquires" true (s.Stats.shard_acquires = [| 0; 11; 0; 0 |]);
+  check "shard conflicts" true (s.Stats.shard_conflicts = [| 0; 0; 0; 2 |]);
+  check "pairs" true (Stats.pairs s = [ (1, 2, 3, 2) ])
+
+(* Schema pin: the JSON keys every consumer sees, in order. *)
+let test_stats_json_keys () =
+  let json = Stats.to_json (Stats.create ()) in
+  let body = String.sub json 1 (String.length json - 2) in
+  let keys =
+    List.map
+      (fun kv -> List.nth (String.split_on_char '"' kv) 1)
+      (String.split_on_char ',' body)
+  in
+  Alcotest.(check (list string)) "keys"
+    [ "commits"; "aborts"; "user_aborts"; "reads"; "writes";
+      "reads_elided_stack"; "reads_elided_heap"; "reads_elided_private";
+      "reads_elided_static"; "writes_elided_stack"; "writes_elided_heap";
+      "writes_elided_private"; "writes_elided_static"; "waw_hits";
+      "undo_entries"; "validations"; "lock_waits"; "audit_reads_heap";
+      "audit_reads_stack"; "audit_reads_required"; "audit_reads_other";
+      "audit_writes_heap"; "audit_writes_stack"; "audit_writes_required";
+      "audit_writes_other"; "audit_static_violations"; "tx_allocs";
+      "tx_frees"; "capture_summary_rejects"; "capture_mru_hits";
+      "capture_backend_probes"; "capture_promotions";
+      "capture_log_overflows"; "capture_check_cycles"; "validations_skipped";
+      "snapshot_extensions"; "readonly_fast_commits"; "clock_advances";
+      "validation_cycles"; "spin_aborts"; "backoff_cycles";
+      "fuel_exhaustions"; "sandbox_aborts"; "sandbox_bounds";
+      "faults_injected"; "cm_max_consec_aborts"; "cm_starvation_events";
+      "clock_cas"; "clock_resyncs"; "redo_inserts"; "redo_hits";
+      "redo_skips"; "publish_cycles"; "wal_records"; "wal_bytes";
+      "wal_fsyncs"; "wal_skips"; "limbo_blocks"; "limbo_words";
+      "epoch_advances"; "reclaim_stalls"; "grace_waits"; "shard_acquires";
+      "shard_conflicts"; "top_conflict_pairs" ]
+    keys
 
 let test_abort_ratio () =
   let s = Stats.create () in
@@ -496,7 +564,11 @@ let () =
         ] );
       ( "stats",
         [
-          Alcotest.test_case "merge/reset" `Quick test_stats_merge_and_reset;
+          Alcotest.test_case "table covers record" `Quick
+            test_stats_table_covers_record;
+          Alcotest.test_case "names unique" `Quick test_stats_names_unique;
+          Alcotest.test_case "merge" `Quick test_stats_merge;
+          Alcotest.test_case "json keys" `Quick test_stats_json_keys;
           Alcotest.test_case "abort ratio" `Quick test_abort_ratio;
         ] );
       ( "costs",
