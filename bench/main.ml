@@ -799,8 +799,6 @@ let scale_section () =
 (* ------------------------------------------------------------------ *)
 (* Shards: orec-table sharding + decentralized clock A/B                *)
 
-module Orec = Captured_stm.Orec
-
 let shards_section () =
   headline
     "Shards: sharded orec table + decentralized version clock A/B \
@@ -809,13 +807,12 @@ let shards_section () =
   let base = Config.with_tvalidate (Config.runtime Alloc_log.Tree) in
   List.iter
     (fun app ->
-      let line ~backend ~shards ~map ~threads (r : Engine.result) =
+      let line ~backend ~shards ~threads (r : Engine.result) =
         json_line ~section:"shards"
           [
             ("app", str app.App.name);
             ("backend", str backend);
             ("shards", string_of_int shards);
-            ("map", str map);
             ("threads", string_of_int threads);
             ("wall_ms", f3 (1000. *. r.Engine.wall));
           ]
@@ -834,56 +831,14 @@ let shards_section () =
             (* The tentpole claim, enforced: no clock CAS on any writer
                commit in decentralized mode. *)
             assert (s.Stats.clock_cas = 0);
-          line ~backend:"sim" ~shards ~map:"hash" ~threads:sim_threads r;
+          line ~backend:"sim" ~shards ~threads:sim_threads r;
           Printf.printf
             "# %-14s sim %2d shards  commits %6d  abort/commit %5.2f  \
              clock-cas %6d  resyncs %5d  makespan %9d\n%!"
             app.App.name shards s.Stats.commits (Stats.abort_ratio s)
             s.Stats.clock_cas s.Stats.clock_resyncs r.Engine.makespan)
         shard_counts;
-      (* (b) Mapping-policy A/B at 4 shards.  In the simulator a shard map
-         is a pure relabeling (a permutation cannot merge or split the
-         hash classes), so hash and affinity must agree bit for bit on
-         commits, aborts and makespan — a whole-system check of the
-         two-level refinement.  The per-shard histograms permute. *)
-      let cfg_hash = Config.with_shards 4 base in
-      let r_hash = run_sim app cfg_hash ~nthreads:sim_threads ~seed:1 in
-      let cfg_aff = Config.with_shards ~map:Orec.Affinity 4 base in
-      let r_aff = run_sim app cfg_aff ~nthreads:sim_threads ~seed:1 in
-      assert (
-        r_hash.Engine.stats.Stats.commits = r_aff.Engine.stats.Stats.commits
-        && r_hash.Engine.stats.Stats.aborts = r_aff.Engine.stats.Stats.aborts
-        && r_hash.Engine.makespan = r_aff.Engine.makespan);
-      line ~backend:"sim" ~shards:4 ~map:"affinity" ~threads:sim_threads r_aff;
-      (* (c) Profile-driven remap through the runtime hook: rank shards by
-         the profiling run's conflict counts and relabel hottest-first,
-         installing the permutation on a fresh world before any
-         transaction runs.  Same invariance must hold. *)
-      let conflicts = r_hash.Engine.stats.Stats.shard_conflicts in
-      let order = Array.init 4 (fun s -> s) in
-      Array.sort
-        (fun a b -> compare conflicts.(b) conflicts.(a))
-        order;
-      let remap = Array.make 4 0 in
-      Array.iteri (fun rank s -> remap.(s) <- rank) order;
-      Site.reset_verdicts ();
-      let p =
-        app.App.prepare ~nthreads:sim_threads ~scale:(scale ()) cfg_hash
-      in
-      Orec.set_shard_map (Engine.orecs p.App.world) remap;
-      let r_prof = Engine.run_sim ~seed:1 p.App.world p.App.body in
-      (match p.App.verify () with
-      | Ok () -> ()
-      | Error m -> failwith ("shards profiled remap: " ^ m));
-      assert (
-        r_prof.Engine.stats.Stats.commits = r_hash.Engine.stats.Stats.commits
-        && r_prof.Engine.makespan = r_hash.Engine.makespan);
-      line ~backend:"sim" ~shards:4 ~map:"profiled" ~threads:sim_threads r_prof;
-      Printf.printf
-        "# %-14s map A/B: hash = affinity = profiled (commits %d, \
-         makespan %d) — relabeling invariance holds\n%!"
-        app.App.name r_hash.Engine.stats.Stats.commits r_hash.Engine.makespan;
-      (* (d) Native leg: real domains, wall clock.  Kept small — the
+      (* (b) Native leg: real domains, wall clock.  Kept small — the
          point is the counter semantics (clock_cas = 0 stays true under
          real parallelism), not a full scaling study. *)
       let domains = if !scale_domains <> [] then !scale_domains else [ 2 ] in
@@ -897,7 +852,7 @@ let shards_section () =
               in
               let s = r.Engine.stats in
               if shards > 1 then assert (s.Stats.clock_cas = 0);
-              line ~backend:"native" ~shards ~map:"hash" ~threads:n r;
+              line ~backend:"native" ~shards ~threads:n r;
               Printf.printf
                 "# %-14s native %2d dom %2d shards  commits %6d  \
                  abort/commit %5.2f  clock-cas %6d  wall %8.2f ms\n%!"

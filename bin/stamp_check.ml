@@ -38,6 +38,21 @@ let split_csv s =
   String.split_on_char ',' s |> List.map String.trim
   |> List.filter (fun x -> x <> "")
 
+(* Parse every entry of a comma-separated list; the first entry [parse]
+   rejects fails the whole list, so a typo cannot silently shrink a
+   sweep. *)
+let parse_csv parse s =
+  List.fold_right
+    (fun x acc ->
+      match (parse x, acc) with
+      | Ok v, Ok vs -> Ok (v :: vs)
+      | (Error _ as e), _ | Ok _, (Error _ as e) -> e)
+    (split_csv s) (Ok [])
+
+(* Shard counts must also leave at least two records per shard in the
+   smallest orec table a sweep builds: the micro worlds'. *)
+let max_shards = 1 lsl (Workloads.micro_orec_bits - 1)
+
 let json_escape s =
   let b = Buffer.create (String.length s) in
   String.iter
@@ -202,7 +217,12 @@ let sweep workloads_csv apps_csv nthreads analysis_name modes_csv shards_csv
     strategies_csv runs seed max_steps persist pct_depth dfs_preemptions
     min_distinct fault_name inject_bug wal wal_bug ebr_flag min_dfrees
     crash_matrix_flag json smoke =
-  if crash_matrix_flag then
+  if nthreads < 1 || nthreads > Captured_stm.Orec.max_tids then
+    `Error
+      (false,
+       Printf.sprintf "--threads must be in [1, %d]"
+         Captured_stm.Orec.max_tids)
+  else if crash_matrix_flag then
     crash_matrix nthreads runs seed max_steps persist pct_depth json
   else
   let runs = if smoke && runs = 0 then 600 else if runs = 0 then 400 else runs
@@ -257,35 +277,50 @@ let sweep workloads_csv apps_csv nthreads analysis_name modes_csv shards_csv
             (false, Printf.sprintf "unknown analysis %S" analysis_name)
       | Some base -> (
           let modes =
-            List.filter_map
+            parse_csv
               (fun m ->
                 match mode_of_name m with
-                | Some fptv -> Some (m, fptv)
-                | None -> None)
-            @@ split_csv modes_csv
+                | Some fptv -> Ok (m, fptv)
+                | None ->
+                    Error
+                      (Printf.sprintf
+                         "unknown mode %S (known: base, fp, tv, fptv, lazy, \
+                          fplazy, tvlazy, fptvlazy)"
+                         m))
+              modes_csv
           in
           let strategies =
-            List.filter_map
-              (fun s ->
-                match s with
-                | "random" -> Some (Strategy.Random { persist })
-                | "pct" -> Some (Strategy.Pct { depth = pct_depth })
-                | "dfs" -> Some (Strategy.Dfs { preemptions = dfs_preemptions })
-                | _ -> None)
-            @@ split_csv strategies_csv
+            parse_csv
+              (function
+                | "random" -> Ok (Strategy.Random { persist })
+                | "pct" -> Ok (Strategy.Pct { depth = pct_depth })
+                | "dfs" -> Ok (Strategy.Dfs { preemptions = dfs_preemptions })
+                | s ->
+                    Error
+                      (Printf.sprintf
+                         "unknown strategy %S (known: random, pct, dfs)" s))
+              strategies_csv
           in
           let shard_counts =
-            List.filter_map
+            parse_csv
               (fun s ->
                 match int_of_string_opt s with
-                | Some n when n >= 1 && n land (n - 1) = 0 -> Some n
-                | _ -> None)
-              (split_csv shards_csv)
+                | Some n when n >= 1 && n land (n - 1) = 0 && n <= max_shards
+                  ->
+                    Ok n
+                | _ ->
+                    Error
+                      (Printf.sprintf
+                         "bad shard count %S (a power of two in [1, %d])" s
+                         max_shards))
+              shards_csv
           in
-          if modes = [] then `Error (false, "no valid modes")
-          else if strategies = [] then `Error (false, "no valid strategies")
-          else if shard_counts = [] then
-            `Error (false, "no valid shard counts (powers of two >= 1)")
+          match (modes, strategies, shard_counts) with
+          | Error m, _, _ | _, Error m, _ | _, _, Error m -> `Error (false, m)
+          | Ok modes, Ok strategies, Ok shard_counts ->
+          if modes = [] then `Error (false, "--modes is empty")
+          else if strategies = [] then `Error (false, "--strategies is empty")
+          else if shard_counts = [] then `Error (false, "--shards is empty")
           else begin
             let failures = ref 0
             and caught = ref 0
@@ -483,7 +518,7 @@ let apps_arg =
   Arg.(value & opt string "" & info [ "apps" ] ~docv:"NAMES" ~doc)
 
 let threads_arg =
-  let doc = "Simulated threads per workload." in
+  let doc = "Simulated threads per workload (1 to 1024)." in
   Arg.(value & opt int 2 & info [ "threads"; "t" ] ~docv:"N" ~doc)
 
 let analysis_arg =
@@ -501,8 +536,9 @@ let modes_arg =
 
 let shards_arg =
   let doc =
-    "Comma-separated orec shard counts (powers of two) multiplying the \
-     mode grid; counts > 1 switch +tv cells to the decentralized clock."
+    "Comma-separated orec shard counts (powers of two, at most 512: the \
+     micro worlds' table has 1024 records) multiplying the mode grid; \
+     counts > 1 switch +tv cells to the decentralized clock."
   in
   Arg.(value & opt string "1" & info [ "shards" ] ~docv:"NS" ~doc)
 

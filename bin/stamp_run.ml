@@ -13,6 +13,7 @@ module Cm = Captured_stm.Cm
 module Fault = Captured_stm.Fault
 module Wal = Captured_stm.Wal
 module Engine = Captured_stm.Engine
+module Orec = Captured_stm.Orec
 module Stats = Captured_stm.Stats
 module Alloc_log = Captured_core.Alloc_log
 module App = Captured_apps.App
@@ -121,11 +122,6 @@ let fault_of_name = function
             (Printf.sprintf "unknown fault %s (known: %s)" name
                (String.concat " " Fault.names)))
 
-let orec_map_of_name = function
-  | "hash" -> Ok Captured_stm.Orec.Hash
-  | "affinity" -> Ok Captured_stm.Orec.Affinity
-  | other -> Error (Printf.sprintf "unknown orec map %s" other)
-
 let print_recovery ~json dir (rc : Wal.recovery) =
   if json then
     Printf.printf
@@ -152,8 +148,8 @@ let print_recovery ~json dir (rc : Wal.recovery) =
   end
 
 let run_cmd app_name config_name scope_name scale_name threads native seed
-    pessimistic fastpath tvalidate lazy_ fences ebr shards orec_map_name
-    cm_name fuel fault_name wal_dir wal_group recover json =
+    pessimistic fastpath tvalidate lazy_ fences ebr shards cm_name fuel
+    fault_name wal_dir wal_group recover json =
   let ( let* ) = Result.bind in
   let outcome =
     let* scope = scope_of_name scope_name in
@@ -164,11 +160,22 @@ let run_cmd app_name config_name scope_name scale_name threads native seed
     let config = if lazy_ then Config.with_lazy config else config in
     let config = if fences then Config.with_fences config else config in
     let config = if ebr then Config.with_ebr config else config in
-    let* orec_map = orec_map_of_name orec_map_name in
+    let* () =
+      if threads < 1 || threads > Orec.max_tids then
+        Error
+          (Printf.sprintf "--threads must be in [1, %d]" Orec.max_tids)
+      else Ok ()
+    in
+    let max_shards = 1 lsl (config.Config.orec_bits - 1) in
     let* config =
-      if shards < 1 || shards land (shards - 1) <> 0 then
-        Error "--shards must be a power of two >= 1"
-      else Ok (Config.with_shards ~map:orec_map shards config)
+      if shards < 1 || shards land (shards - 1) <> 0 || shards > max_shards
+      then
+        Error
+          (Printf.sprintf
+             "--shards must be a power of two in [1, %d] (the orec table \
+              has %d records)"
+             max_shards (1 lsl config.Config.orec_bits))
+      else Ok (Config.with_shards shards config)
     in
     let* cm = cm_of_name cm_name in
     let config = Config.with_cm cm config in
@@ -300,7 +307,10 @@ let scale_arg =
        & info [ "scale"; "s" ] ~docv:"SCALE" ~doc:"test | bench | large")
 
 let threads_arg =
-  Arg.(value & opt int 16 & info [ "threads"; "t" ] ~docv:"N" ~doc:"Logical threads.")
+  Arg.(value & opt int 16
+       & info [ "threads"; "t" ] ~docv:"N"
+           ~doc:"Logical threads (1 to 1024, the thread ids a version \
+                 stamp can carry).")
 
 let native_arg =
   Arg.(value & flag
@@ -357,16 +367,10 @@ let ebr_arg =
 let shards_arg =
   Arg.(value & opt int 1
        & info [ "shards" ] ~docv:"N"
-           ~doc:"Shard the orec table into N (power of two) padded \
-                 sub-tables; N > 1 also switches +tvalidate to the \
-                 decentralized version clock (no clock CAS on writer \
-                 commits).")
-
-let orec_map_arg =
-  Arg.(value & opt string "hash"
-       & info [ "orec-map" ] ~docv:"POLICY"
-           ~doc:"Shard-mapping policy: hash (identity) | affinity \
-                 (spreading permutation).")
+           ~doc:"View the orec table as N shards (a power of two, at \
+                 most half the table's records); N > 1 also switches \
+                 +tvalidate to the decentralized version clock (no clock \
+                 CAS on writer commits).")
 
 let cm_arg =
   Arg.(value & opt string "backoff"
@@ -423,7 +427,7 @@ let run_term =
   Term.(ret (const run_cmd $ app_arg $ config_arg $ scope_arg $ scale_arg
              $ threads_arg $ native_arg $ seed_arg $ pessimistic_arg
              $ fastpath_arg $ tvalidate_arg $ lazy_arg $ fences_arg
-             $ ebr_arg $ shards_arg $ orec_map_arg $ cm_arg $ fuel_arg
+             $ ebr_arg $ shards_arg $ cm_arg $ fuel_arg
              $ fault_arg $ wal_dir_arg $ wal_group_arg $ recover_arg
              $ json_arg))
 

@@ -37,19 +37,16 @@
     Reads of addresses whose ownership record the attempt itself
     write-locked earlier are also exempt — including line-mates and
     hash-collided addresses, which is what [index_of] (the world's
-    address → orec coordinate mapping) decides: partial aborts roll
-    writes back but keep the locks, and the owned fast path reads memory
-    with no validation, so such reads carry no consistency promise in
-    any mode.  With the sharded orec table the coordinate is the
-    [(shard, slot)] pair — exemption must be granular to the exact
-    record, not the flat pre-sharding index, or a shard-map permutation
-    would silently shift which collisions are exempt.  The default maps
-    every address to shard 0, slot [addr] (the identity for unsharded
-    worlds).
+    address → orec index mapping, {!Captured_stm.Orec.index_of}) decides:
+    partial aborts roll writes back but keep the locks, and the owned
+    fast path reads memory with no validation, so such reads carry no
+    consistency promise in any mode.  The flat index names the record
+    exactly at every shard count.  The default is the identity (one
+    record per address).
 
     [All_attempts] is sound for configurations that validate every read
     ([Config.tvalidate]) or lock reads ([Config.pessimistic_reads]); the
-    baseline's periodic validation ([validate_every]) permits bounded
+    baseline's periodic validation ([Txn]'s [validate_every]) permits bounded
     zombie windows in aborted attempts, so it gets [Committed_only]. *)
 
 type strictness = Committed_only | All_attempts
@@ -76,7 +73,7 @@ val violation_to_string : violation -> string
     workload opts in ([Workloads.reclaim_oracle]). *)
 val check :
   ?strictness:strictness ->
-  ?index_of:(int -> int * int) ->
+  ?index_of:(int -> int) ->
   ?lazy_mode:bool ->
   ?reclaim:bool ->
   initial:(int -> int) ->

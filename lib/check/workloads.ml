@@ -23,10 +23,12 @@ type t = {
    before every run and replays thousands of schedules.  The orec table
    is shrunk to match (1024 records cover a few dozen live addresses
    collision-free and make world setup cheap per schedule). *)
+let micro_orec_bits = 10
+
 let small_world ~nthreads config =
   Engine.create ~global_words:1024 ~stack_words:256 ~arena_words:1024
     ~nthreads
-    { config with Config.orec_bits = 10 }
+    { config with Config.orec_bits = micro_orec_bits }
 
 (* Shared counter: the minimal lost-update workload — one cell, read-
    modify-write transactions racing from every thread. *)

@@ -15,6 +15,10 @@ type t = {
   prepare : Config.t -> App.prepared;
 }
 
+val micro_orec_bits : int
+(** [Config.orec_bits] of every micro world (10: 1024 records, so at
+    most 512 shards). *)
+
 val counter : nthreads:int -> incs:int -> t
 (** Shared-counter increments — the minimal lost-update shape. *)
 

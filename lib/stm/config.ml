@@ -17,21 +17,14 @@ type t = {
   static_filter : bool;
   pessimistic_reads : bool;
   waw_filter : bool;
-  use_private_log : bool;
   audit : bool;
   orec_bits : int;
-  line_words_log2 : int;
   array_capacity : int;
-  filter_buckets : int;
-  spin_limit : int;
-  validate_every : int;
   cm : Cm.policy;
   fuel : int;
   fault : Fault.kind option;
   fences : bool;
   orec_shards : int;
-  orec_map : Orec.mapping;
-  dclock : bool;
   lazy_versioning : bool;
   durable : bool;
   wal_group : int;
@@ -56,21 +49,14 @@ let default =
     static_filter = false;
     pessimistic_reads = false;
     waw_filter = true;
-    use_private_log = true;
     audit = false;
     orec_bits = 14;
-    line_words_log2 = 2;
     array_capacity = 4;
-    filter_buckets = 4096;
-    spin_limit = 32;
-    validate_every = 512;
     cm = Cm.Backoff;
     fuel = 0;
     fault = None;
     fences = false;
     orec_shards = 1;
-    orec_map = Orec.Hash;
-    dclock = false;
     lazy_versioning = false;
     durable = false;
     wal_group = 4;
@@ -96,20 +82,15 @@ let with_fuel fuel t =
 
 let with_fences ?(on = true) t = { t with fences = on }
 
-let with_shards ?map n t =
+let with_shards n t =
   if n < 1 || n land (n - 1) <> 0 then
     invalid_arg "Config.with_shards: shards must be a power of two >= 1";
-  {
-    t with
-    orec_shards = n;
-    (* Sharding the table and decentralizing the clock travel together:
-       the point of both is removing system-wide hot words.  [dclock]
-       stays separately togglable ([with_dclock]) for A/Bs. *)
-    dclock = n > 1;
-    orec_map = (match map with Some m -> m | None -> t.orec_map);
-  }
+  { t with orec_shards = n }
 
-let with_dclock ?(on = true) t = { t with dclock = on }
+(* Sharding the table and decentralizing the clock travel together: the
+   point of both is removing system-wide hot words. *)
+let dclock t = t.orec_shards > 1
+
 let with_lazy ?(on = true) t = { t with lazy_versioning = on }
 
 let with_durable ?group ?(on = true) t =
@@ -123,7 +104,6 @@ let with_durable ?group ?(on = true) t =
   { t with durable = on; wal_group }
 
 let with_ebr ?(on = true) t = { t with ebr = on }
-let with_orec_map m t = { t with orec_map = m }
 let with_fault fault t = { t with fault }
 let has_fault t kind = t.fault = Some kind
 
@@ -155,10 +135,6 @@ let name t =
     ^ (if t.fuel > 0 then Printf.sprintf "+fuel:%d" t.fuel else "")
     ^ (if t.orec_shards > 1 then Printf.sprintf "+shards:%d" t.orec_shards
        else "")
-    ^ (match t.orec_map with Orec.Affinity -> "+map:affinity" | Orec.Hash -> "")
-    ^ (if t.dclock && t.orec_shards = 1 then "+dclock"
-       else if (not t.dclock) && t.orec_shards > 1 then "+gvclock"
-       else "")
     ^ (if t.fences then "+fence" else "")
     ^ (match t.fault with
       | None -> ""
@@ -180,7 +156,4 @@ let mode_name t =
   ^ (if t.ebr then "+ebr" else "")
   ^ (if t.pessimistic_reads then "+pessimistic" else "")
   ^ (if t.orec_shards > 1 then Printf.sprintf "+shards:%d" t.orec_shards
-     else "")
-  ^ (if t.dclock && t.orec_shards = 1 then "+dclock"
-     else if (not t.dclock) && t.orec_shards > 1 then "+gvclock"
      else "")

@@ -23,16 +23,23 @@ type scope = {
   on_writes : bool;
 }
 
+(** Every field is varied by a paper figure, a bench gate or a checker
+    sweep — the [Varied by] line of each names it.  A knob nothing varies
+    is a constant next to its one user instead. *)
 type t = {
   analysis : analysis;
+      (** Varied by: Figures 9-11 (bench [fig9], [fig10], [fig11a/b]). *)
   scope : scope;
+      (** Varied by: Figure 10/11 configurations (bench [fig10], ablation
+          (d); [stamp_run --scope]). *)
   fastpath : bool;
       (** Hierarchical capture-check fast path: run the
           empty-log/bounds-summary and MRU block-cache tiers in front of
           every allocation-log probe, and promote a saturated range array
           in place to a range tree instead of dropping precision.  Only
           meaningful with [Runtime]; semantics-preserving (conservatism is
-          never violated). *)
+          never violated).
+          Varied by: bench [fastpath] A/B; checker modes [fp]/[fptv]. *)
   tvalidate : bool;
       (** Timestamp-based validation (TL2/LSA-style global version clock):
           commits stamp released orecs with a shared clock value; a
@@ -43,45 +50,50 @@ type t = {
           becomes an O(1) clock compare, commit skips the read-set scan
           when the snapshot is current, and read-only transactions commit
           with no validation and no clock bump.  Works under every
-          [analysis]; semantics-preserving. *)
+          [analysis]; semantics-preserving.
+          Varied by: bench [tvalidate] A/B; checker modes [tv]/[fptv]. *)
   static_filter : bool;
       (** Skip runtime capture checks at sites the compiler proved
           definitely shared (the paper's §3.2/§6 future work); only
-          meaningful with [Runtime]. *)
+          meaningful with [Runtime].
+          Varied by: bench ablation (e), the [hybrid] config. *)
   pessimistic_reads : bool;
       (** Lock records for reads (two-phase locking) instead of optimistic
           versioned reads — the mode the paper's §2.1 says Intel's STM
           falls back to "in certain cases".  Readers are exclusive here
-          (no shared read locks), the simplest pessimistic scheme. *)
+          (no shared read locks), the simplest pessimistic scheme.
+          Varied by: bench ablation (f); [stamp_run --pessimistic]. *)
   waw_filter : bool;
-  use_private_log : bool;
-      (** Consult the thread-local/read-only annotation log in barriers
-          (cheap when empty; the paper's experiments leave annotations
-          unused, and so do ours except the annotation examples). *)
+      (** Write-after-write undo-log filtering.
+          Varied by: bench ablation (b). *)
   audit : bool;
       (** Maintain a precise side tree and classify every instrumented
-          access (Figure 8 measurement mode); independent of elision. *)
-  orec_bits : int;  (** log2 of the ownership-record table size. *)
-  line_words_log2 : int;  (** words per conflict-detection granule. *)
+          access (Figure 8 measurement mode); independent of elision.
+          Varied by: Figure 8 (bench [fig8], the [audit] config). *)
+  orec_bits : int;
+      (** log2 of the ownership-record table size.
+          Varied by: bench ablation (a); the checker's micro worlds use
+          10. *)
   array_capacity : int;
-  filter_buckets : int;
-  spin_limit : int;  (** lock-wait spins before self-abort. *)
-  validate_every : int;
-      (** Barriers between incremental validations (zombie guard). *)
+      (** Entries of the [Array] allocation-log backend.
+          Varied by: bench ablation (c). *)
   cm : Cm.policy;
       (** Contention-management policy for the retry loop ([+cm:<name>]
           suffix; [Backoff] — the default — is suffix-free and reproduces
-          the pre-CM behaviour bit for bit). *)
+          the pre-CM behaviour bit for bit).
+          Varied by: bench [contention]; [stamp_run --cm]. *)
   fuel : int;
       (** Validation fuel per transaction attempt: every transactional
           operation — including elided/owned accesses and [tx_work],
-          which the periodic [validate_every] guard never sees — burns
-          one unit, and exhaustion forces a revalidation (then refills).
+          which the periodic validation guard never sees — burns one
+          unit, and exhaustion forces a revalidation (then refills).
           Bounds how long a zombie can run regardless of what it does.
-          [0] (default) disables the budget; [+fuel:<n>] suffix. *)
+          [0] (default) disables the budget; [+fuel:<n>] suffix.
+          Varied by: the checker's [zombie] workload; [stamp_run --fuel]. *)
   fault : Fault.kind option;
       (** Injected fault for the robustness layer / checker self-tests
-          ([+fault:<name>] suffix).  Never enable outside tests. *)
+          ([+fault:<name>] suffix).  Never enable outside tests.
+          Varied by: [@fault-matrix] and [@crash-matrix]. *)
   fences : bool;
       (** Debug mode: issue a full (SC) memory fence between the data load
           and the post-read orec check in the optimistic read barrier
@@ -89,25 +101,13 @@ type t = {
           (DESIGN.md §10: the one racy window is caught by validation); the
           flag exists to empirically separate "memory-model bug" from
           "logic bug" when chasing a native-mode failure — if a symptom
-          vanishes under [+fence], suspect the ordering argument. *)
+          vanishes under [+fence], suspect the ordering argument.
+          Varied by: test_native's [tree+fence] pin; [stamp_run --fences]. *)
   orec_shards : int;
-      (** Number of orec-table sub-tables ([+shards:<n>] suffix, power of
-          two, 1 = monolithic).  Two-level hash: shard = high bits, slot
-          within shard = low bits; [shards = 1] is bit-identical to the
-          flat table. *)
-  orec_map : Orec.mapping;
-      (** Shard-mapping policy ([+map:affinity] suffix for [Affinity]):
-          how shard ids of the hash are placed onto physical sub-tables.
-          See {!Orec.mapping}. *)
-  dclock : bool;
-      (** Decentralized version clock (GV5/GV7 family; DESIGN.md §11).
-          Only meaningful with [tvalidate]: writers stamp released orecs
-          with per-thread [(local_epoch, tid)] values and never touch the
-          shared clock at commit; freshness is judged against per-peer
-          epoch watermarks, and the shared clock is consulted only on
-          abort-driven resync.  Set automatically by [with_shards n] for
-          [n > 1] ([+gvclock]/[+dclock] suffixes mark the off-diagonal
-          combinations). *)
+      (** Number of orec-table shards ([+shards:<n>] suffix, power of
+          two, 1 = unsharded): shard = high index bits.  Above one shard
+          the version clock is decentralized ({!dclock}).
+          Varied by: bench [shards]; checker [--shards 1,4]. *)
   lazy_versioning : bool;
       (** Deferred-update (lazy-versioning, TL2-style) backend ([+lazy]
           suffix).  Write barriers buffer into a per-transaction redo
@@ -118,7 +118,8 @@ type t = {
           compounds: a write the capture check proves captured skips
           the buffer {e and} the commit write-back entirely
           ([Stats.redo_skips]).  Composes with every other flag;
-          [false] (default) is the eager-undo engine, bit for bit. *)
+          [false] (default) is the eager-undo engine, bit for bit.
+          Varied by: bench [lazyab]; checker modes [lazy]/[fplazy]. *)
   durable : bool;
       (** Durable transactions ([+wal] suffix): writer commits append a
           redo-style record (derived from the redo buffer under [+lazy],
@@ -127,10 +128,12 @@ type t = {
           commit ([wal_group]).  Stores the capture analysis proved
           transaction-local never reach the log ([Stats.wal_skips]).
           The engine must be given a {!Wal.t} ({!Engine.attach_wal}) for
-          the toggle to take effect. *)
+          the toggle to take effect.
+          Varied by: bench [wal]; [@crash-matrix]. *)
   wal_group : int;
       (** Group-commit batch size: pending WAL records accumulated
-          before an fsync ([>= 1]; 1 = sync every commit). *)
+          before an fsync ([>= 1]; 1 = sync every commit).
+          Varied by: [stamp_run --wal-group]. *)
   ebr : bool;
       (** Epoch-based reclamation ([+ebr] suffix; DESIGN.md §14):
           committed deferred frees park on a per-thread limbo list
@@ -139,7 +142,8 @@ type t = {
           on stale reads — can ever see a block it holds a pointer into
           recarved for a new allocation.  Also arms {!Txn.quiesce} /
           {!Txn.privatize} (without EBR they are no-op fences).
-          [false] (default) frees at commit, bit for bit as before. *)
+          [false] (default) frees at commit, bit for bit as before.
+          Varied by: bench [reclaim]; [@reclaim-smoke]. *)
 }
 
 val full_scope : scope
@@ -185,20 +189,20 @@ val with_fuel : int -> t -> t
     fence ([+fence] suffix). *)
 val with_fences : ?on:bool -> t -> t
 
-(** [with_shards n t] shards the orec table into [n] sub-tables
-    ([+shards:<n>] suffix) and — for [n > 1] — switches the version clock
-    to the decentralized scheme ([dclock]).  [?map] also selects the
-    shard-mapping policy.  Raises [Invalid_argument] unless [n] is a
+(** [with_shards n t] shards the orec table into [n] shards
+    ([+shards:<n>] suffix).  Raises [Invalid_argument] unless [n] is a
     power of two [>= 1]. *)
-val with_shards : ?map:Orec.mapping -> int -> t -> t
+val with_shards : int -> t -> t
 
-(** [with_dclock t] forces the decentralized clock on ([?on:false]: off)
-    independently of the shard count — the A/B knob for separating the
-    two halves of the optimisation. *)
-val with_dclock : ?on:bool -> t -> t
-
-(** [with_orec_map m t] selects the shard-mapping policy. *)
-val with_orec_map : Orec.mapping -> t -> t
+(** [dclock t] — is the version clock decentralized (GV5/GV7 family;
+    DESIGN.md §11)?  Exactly when the table has more than one shard:
+    sharding and the decentralized clock remove the same system-wide hot
+    words, so they travel together.  Only meaningful with [tvalidate]:
+    writers stamp released orecs with per-thread [(local_epoch, tid)]
+    values and never touch the shared clock at commit; freshness is
+    judged against per-peer epoch watermarks, and the shared clock is
+    consulted only on abort-driven resync. *)
+val dclock : t -> bool
 
 (** [with_lazy t] selects the deferred-update backend ([+lazy] suffix;
     [?on:false] returns to eager undo). *)

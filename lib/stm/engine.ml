@@ -28,15 +28,17 @@ type world = {
 
 let create ?(global_words = 1 lsl 18) ?(stack_words = 1 lsl 14)
     ?(arena_words = 1 lsl 18) ~nthreads config =
-  if nthreads < 1 then invalid_arg "Engine.create: nthreads";
+  if nthreads < 1 || nthreads > Orec.max_tids then
+    invalid_arg
+      (Printf.sprintf "Engine.create: nthreads must be in [1, %d]"
+         Orec.max_tids);
   let words =
     1 + global_words + (nthreads * (stack_words + arena_words))
   in
   let memory = Memory.create ~words in
   let orecs =
     Orec.create ~bits:config.Config.orec_bits
-      ~shards:config.Config.orec_shards ~map:config.Config.orec_map
-      ~line_words_log2:config.Config.line_words_log2 ()
+      ~shards:config.Config.orec_shards ()
   in
   let global_arena = Alloc.create memory ~base:1 ~words:global_words in
   let stacks =

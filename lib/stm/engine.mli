@@ -17,7 +17,8 @@ val create :
   Config.t ->
   world
 (** Defaults: 256 Ki global words, 16 Ki stack words and 256 Ki arena
-    words per thread. *)
+    words per thread.  Raises [Invalid_argument] before allocating
+    anything unless [1 <= nthreads <= Orec.max_tids]. *)
 
 val memory : world -> Captured_tmem.Memory.t
 val global_arena : world -> Captured_tmem.Alloc.t

@@ -1,26 +1,16 @@
 module Padding = Captured_util.Padding
 
-type mapping = Hash | Affinity
-
 type t = {
-  shards : int Atomic.t array array;
-  (* Two-level decomposition of the flat 2^bits index space:
-     [shard = index lsr slot_bits], [slot = index land slot_mask].  With
-     one shard ([shard_mask = 0]) the layout and the arithmetic collapse
-     to exactly the monolithic table this replaces — the bit-for-bit
-     compatibility the sim-determinism pins rely on. *)
+  table : int Atomic.t array;
   slot_bits : int;
-  slot_mask : int;
-  shard_mask : int;
-  (* Shard-id permutation applied by [index_of]: the mapping-policy hook.
-     Identity under [Hash]; a fixed spreading bijection under [Affinity];
-     replaceable at runtime ({!set_shard_map}) so a profile-driven policy
-     can remap hot shards away from conflicting domain pairs. *)
-  shard_map : int array;
+  (* [shard = index lsr slot_bits]: a shard is a contiguous index range
+     of the flat table, read off the high bits of the hash. *)
   shift : int; (* take the HIGH bits of the multiplicative hash *)
-  line_words_log2 : int;
   version_clock : int Atomic.t;
 }
+
+(* Words per conflict-detection granule: 2^2 words = one 32-byte line. *)
+let line_words_log2 = 2
 
 let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1)
 
@@ -30,80 +20,33 @@ let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1)
    the other seven in remote caches — classic false sharing, and the
    version clock (touched by every tvalidate commit) is the hottest word
    in the system.  Cost is memory only: 2^bits * 64 B (1 MiB at the
-   default 14 bits), paid once per table.  Sharding does not change the
-   total size, only the grouping: each sub-table is one contiguous
-   padded region ({!Padding.padded_table}). *)
-let create ~bits ?(shards = 1) ?(map = Hash) ~line_words_log2 () =
+   default 14 bits), paid once per table.  The table is one contiguous
+   padded region ({!Padding.padded_table}), so each shard's records
+   cluster in the address space. *)
+let create ~bits ?(shards = 1) () =
   if bits < 4 || bits > 24 then invalid_arg "Orec.create: bits";
   if shards < 1 || shards land (shards - 1) <> 0 then
     invalid_arg "Orec.create: shards must be a power of two >= 1";
   let shard_bits = log2 shards in
   if shard_bits >= bits then invalid_arg "Orec.create: more shards than orecs";
-  let slot_bits = bits - shard_bits in
-  let shard_map =
-    Array.init shards (fun s ->
-        match map with
-        | Hash -> s
-        | Affinity ->
-            (* Bit-reversal of the shard-id bits: an involution that sends
-               hash-adjacent shard ids to maximally distant ones at every
-               power-of-two size (a multiplicative constant mod 2^k fixes
-               the low bits, degenerating to the identity for small k). *)
-            let r = ref 0 in
-            for i = 0 to shard_bits - 1 do
-              if s land (1 lsl i) <> 0 then
-                r := !r lor (1 lsl (shard_bits - 1 - i))
-            done;
-            !r)
-  in
   {
-    shards = Array.init shards (fun _ -> Padding.padded_table (1 lsl slot_bits) 0);
-    slot_bits;
-    slot_mask = (1 lsl slot_bits) - 1;
-    shard_mask = shards - 1;
-    shard_map;
+    table = Padding.padded_table (1 lsl bits) 0;
+    slot_bits = bits - shard_bits;
     shift = 62 - bits;
-    line_words_log2;
     version_clock = Padding.padded_atomic 0;
   }
 
 (* Fibonacci hashing: the low product bits are periodic in the address
-   (stride 2^k aliasing!), so the index must come from the HIGH bits.
-   The two-level refinement reads the shard id from the high bits of the
-   hash and the slot from the low bits, then permutes the shard id
-   through [shard_map]; with one shard the mask is 0 and the value is the
-   bare hash, unchanged from the monolithic table. *)
+   (stride 2^k aliasing!), so the index must come from the HIGH bits —
+   which also makes the shard id the top bits of the hash. *)
 let index_of t addr =
-  let base =
-    (((addr lsr t.line_words_log2) * 0x2545F4914F6CDD1D) land max_int)
-    lsr t.shift
-  in
-  if t.shard_mask = 0 then base
-  else
-    (t.shard_map.(base lsr t.slot_bits) lsl t.slot_bits)
-    lor (base land t.slot_mask)
+  (((addr lsr line_words_log2) * 0x2545F4914F6CDD1D) land max_int) lsr t.shift
 
-let count t = (t.shard_mask + 1) lsl t.slot_bits
-let shard_count t = t.shard_mask + 1
+let count t = Array.length t.table
+let shard_count t = Array.length t.table lsr t.slot_bits
 let slot_bits t = t.slot_bits
 let shard_of t i = i lsr t.slot_bits
-let slot_of t i = i land t.slot_mask
-
-let set_shard_map t perm =
-  let n = t.shard_mask + 1 in
-  if Array.length perm <> n then
-    invalid_arg "Orec.set_shard_map: wrong length";
-  let seen = Array.make n false in
-  Array.iter
-    (fun s ->
-      if s < 0 || s >= n || seen.(s) then
-        invalid_arg "Orec.set_shard_map: not a permutation"
-      else seen.(s) <- true)
-    perm;
-  Array.blit perm 0 t.shard_map 0 n
-
-let shard_map t = Array.copy t.shard_map
-let get t i = Atomic.get t.shards.(i lsr t.slot_bits).(i land t.slot_mask)
+let get t i = Atomic.get t.table.(i)
 let is_locked word = word land 1 = 1
 let owner_of word = word lsr 1
 let version_of word = word lsr 1
@@ -111,17 +54,15 @@ let locked_word ~owner = (owner lsl 1) lor 1
 let bumped prev = ((version_of prev) + 1) lsl 1
 
 let try_lock t i ~owner ~expected =
-  Atomic.compare_and_set t.shards.(i lsr t.slot_bits).(i land t.slot_mask)
-    expected (locked_word ~owner)
+  Atomic.compare_and_set t.table.(i) expected (locked_word ~owner)
 
-let unlock t i word =
-  Atomic.set t.shards.(i lsr t.slot_bits).(i land t.slot_mask) word
+let unlock t i word = Atomic.set t.table.(i) word
 
 (* Global version clock (TL2/LSA-style).  Commit-time stamps are clock
    values, so "record version <= snapshot timestamp" certifies that the
    line is unchanged since the snapshot was taken — the O(1) consistency
    check timestamp-based validation rests on.  In decentralized-clock
-   mode ({!Config.t.dclock}) writer commits never touch this word; it
+   mode ({!Config.dclock}) writer commits never touch this word; it
    survives as the resync rendezvous aborting threads use to jump their
    local epoch past everything already published. *)
 

@@ -322,7 +322,7 @@ let new_capture_log (cfg : Config.t) =
   | Config.Runtime backend when cfg.scope.check_heap ->
       Some
         (Alloc_log.create ~array_capacity:cfg.array_capacity
-           ~filter_buckets:cfg.filter_buckets ~fastpath:cfg.fastpath backend)
+           ~fastpath:cfg.fastpath backend)
   | Config.Runtime _ | Config.Baseline | Config.Compiler -> None
 
 let new_audit_log (cfg : Config.t) =
@@ -487,7 +487,7 @@ let dclock_extend tx ts =
 (* The zombie guard: abort unless the read set still holds. *)
 let revalidate tx =
   let th = tx.thread in
-  if th.config.Config.tvalidate && not th.config.Config.dclock then begin
+  if th.config.Config.tvalidate && not (Config.dclock th.config) then begin
     (* O(1) check: an unmoved clock means nothing committed since the
        snapshot, so the read set cannot have been invalidated. *)
     charge_validation th Costs.tvalidate_check;
@@ -501,9 +501,12 @@ let revalidate tx =
     not (validate tx)
   then raise Retry_conflict
 
+(* Barriers between incremental validations (the zombie guard). *)
+let validate_every = 512
+
 let maybe_validate tx =
   tx.ops_since_validate <- tx.ops_since_validate + 1;
-  if tx.ops_since_validate >= tx.thread.config.validate_every then begin
+  if tx.ops_since_validate >= validate_every then begin
     tx.ops_since_validate <- 0;
     revalidate tx
   end
@@ -597,10 +600,7 @@ let heap_capture_check th log ~lo ~hi =
   (cost lsl 1) lor captured
 
 let private_check th addr size cost =
-  if
-    th.config.Config.use_private_log
-    && Private_log.size th.private_log > 0
-  then
+  if Private_log.size th.private_log > 0 then
     let c = cost + Private_log.search_cost th.private_log in
     if Private_log.contains th.private_log ~addr ~size then
       elision ~cls:elide_private_code ~cost:c
@@ -685,14 +685,16 @@ let debug_after_load th oi =
   if th.config.Config.fences then fence th;
   th.read_seen_epoch.(oi) <> th.epoch && fault_fires th Fault.Stale_read
 
+(* Lock-wait spins before self-abort. *)
+let spin_limit = 32
+
 let rec full_read_loop tx oi addr spins =
   let th = tx.thread in
   let w1 = Orec.get th.orecs oi in
   if Orec.is_locked w1 then begin
     th.stats.lock_waits <- th.stats.lock_waits + 1;
     if spins = 0 then note_shard_conflict th oi w1;
-    if spins >= Cm.spin_patience th.cm ~default:th.config.Config.spin_limit
-    then begin
+    if spins >= Cm.spin_patience th.cm ~default:spin_limit then begin
       th.stats.spin_aborts <- th.stats.spin_aborts + 1;
       raise Retry_conflict
     end
@@ -731,7 +733,7 @@ let rec full_read_loop tx oi addr spins =
           cfg.Config.tvalidate
           && begin
                charge_validation th Costs.ts_read_check;
-               (if cfg.Config.dclock then
+               (if Config.dclock cfg then
                   (* Decentralized clock: the stamp names (peer, epoch).
                      At or below the peer's watermark the line provably
                      predates this attempt's last consistent instant;
@@ -746,7 +748,7 @@ let rec full_read_loop tx oi addr spins =
              end
         in
         if extend then begin
-          if cfg.Config.dclock then dclock_extend tx (Orec.version_of w1)
+          if Config.dclock cfg then dclock_extend tx (Orec.version_of w1)
           else extend_snapshot tx;
           full_read_loop tx oi addr spins
         end
@@ -784,8 +786,7 @@ let rec acquire_loop tx oi spins =
   if Orec.is_locked w then begin
     th.stats.lock_waits <- th.stats.lock_waits + 1;
     if spins = 0 then note_shard_conflict th oi w;
-    if spins >= Cm.spin_patience th.cm ~default:th.config.Config.spin_limit
-    then begin
+    if spins >= Cm.spin_patience th.cm ~default:spin_limit then begin
       th.stats.spin_aborts <- th.stats.spin_aborts + 1;
       raise Retry_conflict
     end
@@ -1210,7 +1211,7 @@ let begin_top tx =
   (* Decentralized mode has no snapshot timestamp (watermarks replace
      it), and skipping the clock read keeps begin fully clock-free. *)
   tx.start_ts <-
-    (if th.config.Config.tvalidate && not th.config.Config.dclock then
+    (if th.config.Config.tvalidate && not (Config.dclock th.config) then
        Orec.clock th.orecs
      else 0);
   Waw.clear tx.waw;
@@ -1506,7 +1507,7 @@ let commit_top tx =
        wal_append_commit tx;
        emit th.tid Ev_commit
      end
-     else if th.config.Config.dclock then begin
+     else if Config.dclock th.config then begin
        (* Decentralized writer commit: NO shared-clock access.  The price
           is a full read-set validation on every writing commit — there
           is no global instant to O(1)-compare against — the win is that
@@ -1604,7 +1605,7 @@ let abort_top tx ~user =
   end
   else begin
     th.stats.aborts <- th.stats.aborts + 1;
-    if th.config.Config.tvalidate && th.config.Config.dclock then begin
+    if th.config.Config.tvalidate && Config.dclock th.config then begin
       (* Validation-failure-driven resync: the one place the
          decentralized scheme touches the shared clock (off the commit
          hot path).  Folding the global count into [local_epoch] makes

@@ -17,4 +17,4 @@ val padded_atomic : int -> int Atomic.t
 val padded_table : int -> int -> int Atomic.t array
 (** [padded_table n v] is an array of [n] fresh padded atomics, all [v],
     allocated consecutively so the table occupies one contiguous region —
-    the building block for one orec-table shard. *)
+    the orec table, whose shards are contiguous index ranges of it. *)

@@ -21,7 +21,7 @@ let test_orec_encoding () =
   check_int "version of bumped" 22 (Orec.version_of (Orec.bumped 42))
 
 let test_orec_lock_cycle () =
-  let t = Orec.create ~bits:6 ~line_words_log2:2 () in
+  let t = Orec.create ~bits:6 () in
   let i = Orec.index_of t 1234 in
   let before = Orec.get t i in
   check "initially unlocked" false (Orec.is_locked before);
@@ -34,7 +34,7 @@ let test_orec_lock_cycle () =
     && Orec.version_of (Orec.get t i) = Orec.version_of before + 1)
 
 let test_orec_clock () =
-  let t = Orec.create ~bits:6 ~line_words_log2:2 () in
+  let t = Orec.create ~bits:6 () in
   check_int "starts at zero" 0 (Orec.clock t);
   check_int "first advance returns 1" 1 (Orec.advance_clock t);
   check_int "second advance returns 2" 2 (Orec.advance_clock t);
@@ -47,7 +47,7 @@ let test_orec_clock () =
   check "monotone" true (Orec.stamped ~ts:2 > Orec.stamped ~ts:1)
 
 let test_orec_line_granularity () =
-  let t = Orec.create ~bits:10 ~line_words_log2:2 () in
+  let t = Orec.create ~bits:10 () in
   (* Addresses within one 4-word line map to the same record. *)
   check_int "same line" (Orec.index_of t 100) (Orec.index_of t 103);
   check "across lines usually differ" true
@@ -56,7 +56,7 @@ let test_orec_line_granularity () =
 
 let test_orec_hash_no_power_of_two_aliasing () =
   (* The bring-up bug: strides of 2^18 (arena spacing) must not alias. *)
-  let t = Orec.create ~bits:14 ~line_words_log2:2 () in
+  let t = Orec.create ~bits:14 () in
   let base = 8 in
   let collisions = ref 0 in
   for k = 1 to 16 do
@@ -71,19 +71,19 @@ let test_orec_hash_no_power_of_two_aliasing () =
 (* Shared tables for the qcheck properties: a padded table is ~64 B per
    record, so building them once outside the generator keeps the
    properties cheap. *)
-let flat_table = lazy (Orec.create ~bits:10 ~line_words_log2:2 ())
+let flat_table = lazy (Orec.create ~bits:10 ())
 
 let sharded_tables =
   lazy
     (List.map
-       (fun shards -> Orec.create ~bits:10 ~shards ~line_words_log2:2 ())
+       (fun shards -> Orec.create ~bits:10 ~shards ())
        [ 4; 16; 64 ])
 
 let arb_addr = QCheck.int_range 0 ((1 lsl 30) - 1)
 
-(* The tentpole's compatibility obligation: under the identity (Hash)
-   map, the two-level decomposition is a refinement of the flat hash —
-   no address maps any differently, at any shard count. *)
+(* Sharding never changes which record an address maps to, at any shard
+   count — the bit-for-bit compatibility the sim-determinism pins rely
+   on. *)
 let prop_shard_refinement =
   QCheck.Test.make ~name:"two-level hash refines the flat hash" ~count:2000
     arb_addr (fun addr ->
@@ -92,23 +92,18 @@ let prop_shard_refinement =
         (fun t -> Orec.index_of t addr = Orec.index_of flat addr)
         (Lazy.force sharded_tables))
 
-(* Affinity only permutes the shard id; the slot (low bits) is exactly
-   the flat hash's low bits, and the shard is the mapped high bits. *)
-let prop_affinity_slot_preserving =
-  let aff =
-    lazy
-      (Orec.create ~bits:10 ~shards:16 ~map:Orec.Affinity ~line_words_log2:2
-         ())
-  in
-  QCheck.Test.make ~name:"affinity permutes shards, preserves slots"
-    ~count:2000 arb_addr (fun addr ->
+(* The shard is a view of the flat index, not a remapping of it: the
+   per-shard statistics, the shard-crossing charge and the decentralized
+   clock all read it as the high index bits. *)
+let prop_shard_is_high_bits =
+  QCheck.Test.make ~name:"shard = high bits of the flat index" ~count:2000
+    arb_addr (fun addr ->
       let flat = Lazy.force flat_table in
-      let t = Lazy.force aff in
-      let base = Orec.index_of flat addr in
-      let i = Orec.index_of t addr in
-      let sb = Orec.slot_bits t in
-      Orec.slot_of t i = base land ((1 lsl sb) - 1)
-      && Orec.shard_of t i = (Orec.shard_map t).(base lsr sb))
+      List.for_all
+        (fun t ->
+          Orec.shard_of t (Orec.index_of t addr)
+          = Orec.index_of flat addr lsr Orec.slot_bits t)
+        (Lazy.force sharded_tables))
 
 let prop_stamp_roundtrip =
   QCheck.Test.make ~name:"decentralized stamp roundtrip" ~count:1000
@@ -119,48 +114,14 @@ let prop_stamp_roundtrip =
       && Orec.tid_of_stamp s = tid
       && not (Orec.is_locked (Orec.stamped ~ts:s)))
 
-let test_affinity_bijection () =
-  List.iter
-    (fun shards ->
-      let t =
-        Orec.create ~bits:12 ~shards ~map:Orec.Affinity ~line_words_log2:2 ()
-      in
-      let m = Orec.shard_map t in
-      let sorted = Array.copy m in
-      Array.sort compare sorted;
-      check
-        (Printf.sprintf "affinity map is a permutation at %d shards" shards)
-        true
-        (sorted = Array.init shards (fun i -> i)))
-    [ 1; 2; 4; 8; 16; 64 ]
-
-let test_set_shard_map () =
-  let t = Orec.create ~bits:8 ~shards:4 ~line_words_log2:2 () in
-  Alcotest.check_raises "wrong length"
-    (Invalid_argument "Orec.set_shard_map: wrong length") (fun () ->
-      Orec.set_shard_map t [| 0; 1 |]);
-  Alcotest.check_raises "duplicate id"
-    (Invalid_argument "Orec.set_shard_map: not a permutation") (fun () ->
-      Orec.set_shard_map t [| 0; 1; 1; 3 |]);
-  Alcotest.check_raises "out of range"
-    (Invalid_argument "Orec.set_shard_map: not a permutation") (fun () ->
-      Orec.set_shard_map t [| 0; 1; 2; 4 |]);
-  (* A valid permutation relabels shards and index_of follows it. *)
-  let before = Orec.index_of t 12345 in
-  Orec.set_shard_map t [| 3; 2; 1; 0 |];
-  let after = Orec.index_of t 12345 in
-  check_int "slot unchanged" (Orec.slot_of t before) (Orec.slot_of t after);
-  check_int "shard relabeled" (3 - Orec.shard_of t before)
-    (Orec.shard_of t after)
-
 let test_shard_create_validation () =
   Alcotest.check_raises "non-power-of-two shards"
     (Invalid_argument "Orec.create: shards must be a power of two >= 1")
-    (fun () -> ignore (Orec.create ~bits:8 ~shards:3 ~line_words_log2:2 ()));
+    (fun () -> ignore (Orec.create ~bits:8 ~shards:3 ()));
   Alcotest.check_raises "too many shards"
     (Invalid_argument "Orec.create: more shards than orecs") (fun () ->
-      ignore (Orec.create ~bits:4 ~shards:16 ~line_words_log2:2 ()));
-  let t = Orec.create ~bits:8 ~shards:8 ~line_words_log2:2 () in
+      ignore (Orec.create ~bits:4 ~shards:16 ()));
+  let t = Orec.create ~bits:8 ~shards:8 () in
   check_int "count preserved" 256 (Orec.count t);
   check_int "shard count" 8 (Orec.shard_count t);
   check_int "slot bits" 5 (Orec.slot_bits t)
@@ -168,7 +129,6 @@ let test_shard_create_validation () =
 let test_shards_config () =
   let cfg = Config.with_shards 4 Config.baseline in
   check_int "orec_shards" 4 cfg.Config.orec_shards;
-  check "dclock on at >1 shards" true cfg.Config.dclock;
   check "+shards in name" true
     (let name = Config.name cfg in
      let needle = "+shards:4" in
@@ -178,11 +138,21 @@ let test_shards_config () =
      in
      find 0);
   let one = Config.with_shards 1 Config.baseline in
-  check "dclock off at 1 shard" false one.Config.dclock;
   check "no suffix at 1 shard" true (Config.name one = Config.name Config.baseline);
   Alcotest.check_raises "non-power-of-two rejected"
     (Invalid_argument "Config.with_shards: shards must be a power of two >= 1")
     (fun () -> ignore (Config.with_shards 6 Config.baseline))
+
+(* Sharding and the decentralized clock travel together at every shard
+   count, not just the ones the bench and checker sweep. *)
+let test_dclock_iff_sharded () =
+  List.iter
+    (fun n ->
+      let c = Config.with_shards n Config.baseline in
+      check
+        (Printf.sprintf "dclock at %d shards" n)
+        (c.Config.orec_shards > 1) (Config.dclock c))
+    (List.init 11 (fun k -> 1 lsl k))
 
 (* ------------------------------------------------------------------ *)
 (* WAW filter *)
@@ -265,6 +235,23 @@ let test_engine_per_thread_stats () =
   check_int "t1 commits" 20 r.Engine.per_thread.(1).Stats.commits;
   check_int "t2 commits" 30 r.Engine.per_thread.(2).Stats.commits;
   check_int "merged" 60 r.Engine.stats.Stats.commits
+
+(* Thread ids are packed into [Orec.tid_bits] of every decentralized
+   stamp, so a world can hold at most [Orec.max_tids] threads.  (Small
+   regions keep the test cheap should the check ever regress.) *)
+let test_engine_nthreads_range () =
+  let create nthreads =
+    ignore
+      (Engine.create ~global_words:64 ~stack_words:64 ~arena_words:64
+         ~nthreads Config.baseline)
+  in
+  let msg =
+    Printf.sprintf "Engine.create: nthreads must be in [1, %d]" Orec.max_tids
+  in
+  Alcotest.check_raises "zero threads" (Invalid_argument msg) (fun () ->
+      create 0);
+  Alcotest.check_raises "more threads than stamp ids" (Invalid_argument msg)
+    (fun () -> create (Orec.max_tids + 1))
 
 (* ------------------------------------------------------------------ *)
 (* Sync barrier *)
@@ -529,15 +516,15 @@ let () =
             test_orec_hash_no_power_of_two_aliasing;
         ] );
       ( "shards",
-        Alcotest.test_case "affinity bijection" `Quick test_affinity_bijection
-        :: Alcotest.test_case "set_shard_map" `Quick test_set_shard_map
-        :: Alcotest.test_case "create validation" `Quick
-             test_shard_create_validation
+        Alcotest.test_case "create validation" `Quick
+          test_shard_create_validation
         :: Alcotest.test_case "config plumbing" `Quick test_shards_config
+        :: Alcotest.test_case "dclock iff sharded" `Quick
+             test_dclock_iff_sharded
         :: List.map Qc.to_alcotest
              [
                prop_shard_refinement;
-               prop_affinity_slot_preserving;
+               prop_shard_is_high_bits;
                prop_stamp_roundtrip;
              ] );
       ( "waw",
@@ -555,6 +542,8 @@ let () =
             test_engine_seed_changes_run;
           Alcotest.test_case "per-thread stats" `Quick
             test_engine_per_thread_stats;
+          Alcotest.test_case "nthreads range" `Quick
+            test_engine_nthreads_range;
         ] );
       ( "sync",
         [
